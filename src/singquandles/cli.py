@@ -71,11 +71,8 @@ def _print_phi(phi: PhiInvariant, fmt: str) -> None:
 
 
 def _cmd_validate(args) -> int:
-    if args.structure.startswith("corpus:"):
-        q = _load_singquandle_arg(args.structure)  # corpus loads validate on the way in
-        print(f"valid singquandle of order {q.order}")
-        return 0
-    q = load_singquandle(args.structure)  # raises NotA*Error with the report attached
+    # loading validates; a failure raises NotA*Error with the report attached
+    q = _load_singquandle_arg(args.structure)
     print(f"valid singquandle of order {q.order}")
     return 0
 

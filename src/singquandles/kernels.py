@@ -1,7 +1,8 @@
 """Backend-switched kernels for the two hot loops.
 
 Everything here is exhaustive integer-table work: axiom validation scans all
-n^3 triples, coloring enumeration backtracks over generator assignments.
+n^3 triples, coloring enumeration runs a compiled search plan that ranges
+over the free generators only and derives or checks everything else.
 Both come in two interchangeable implementations:
 
 * ``numba``: @njit(cache=True) nested loops, the default when numba imports
@@ -22,7 +23,11 @@ identities, witnesses (a, b, c) or (a, b) for the pair identities 4 and 5.
 
 Coloring programs are postorder instruction arrays over int64 tables:
 opcode 0 pushes generator ``arg``, opcodes 1..4 pop two values and apply
-star, bar, R1, R2.
+star, bar, R1, R2.  A search plan is a table of steps ``[kind, target,
+start, end, start2, end2]`` run in order: STEP_FREE tries every value of
+generator ``target``, STEP_DERIVE sets it to the value of program
+``code[start:end]``, STEP_CHECK rejects an assignment on which the programs
+``code[start:end]`` and ``code[start2:end2]`` differ.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ __all__ = [
 ]
 
 OP_GEN, OP_STAR, OP_BAR, OP_R1, OP_R2 = 0, 1, 2, 3, 4
+STEP_FREE, STEP_DERIVE, STEP_CHECK = 0, 1, 2
 
 
 # ---------------------------------------------------------------------------
@@ -110,14 +116,12 @@ def _sing_violations_np(star, bar, r1, r2, cap: int) -> np.ndarray:
     return np.array(rows, dtype=np.int64).reshape(-1, 4)
 
 
-def _eval_prog_np(code, start, end, star, bar, r1, r2, assign):
-    """Evaluate one program over every row of assign at once."""
-    tables = (star, bar, r1, r2)
+def _eval_prog_np(code, start, end, tables, cols):
+    """Evaluate one program over every frontier row at once."""
     stack = []
-    for i in range(start, end):
-        op = code[i, 0]
+    for op, arg in code[start:end].tolist():
         if op == OP_GEN:
-            stack.append(assign[:, code[i, 1]])
+            stack.append(cols[arg])
         else:
             b = stack.pop()
             a = stack.pop()
@@ -125,26 +129,31 @@ def _eval_prog_np(code, start, end, star, bar, r1, r2, assign):
     return stack[0]
 
 
-def _enumerate_np(n, g, star, bar, r1, r2, code, spans, depth_ptr, rel_order, max_stack):
-    # breadth-first over depths; every partial assignment block stays in
-    # lexicographic order, and relations prune as soon as they are ready
-    front = np.zeros((1, 0), dtype=np.int64)
+def _enumerate_np(n, g, star, bar, r1, r2, code, steps, max_stack):
+    # breadth-first over the plan: the frontier keeps one column per bound
+    # generator, grows n-fold only at a free step and is pruned at each check
+    tables = (star, bar, r1, r2)
     vals = np.arange(n, dtype=np.int64)
-    for d in range(g):
-        m = front.shape[0]
-        ext = np.repeat(front, n, axis=0)
-        col = np.tile(vals, m)
-        front = np.concatenate([ext, col[:, None]], axis=1)
-        if front.shape[0] == 0:
-            return np.zeros((0, g), dtype=np.int64)
-        keep = np.ones(front.shape[0], dtype=bool)
-        for k in range(depth_ptr[d], depth_ptr[d + 1]):
-            r = rel_order[k]
-            lv = _eval_prog_np(code, spans[r, 0], spans[r, 1], star, bar, r1, r2, front)
-            rv = _eval_prog_np(code, spans[r, 2], spans[r, 3], star, bar, r1, r2, front)
-            keep &= lv == rv
-        front = front[keep]
-    return front
+    cols: dict[int, np.ndarray] = {}
+    m = 1
+    for kind, target, s0, e0, s1, e1 in steps.tolist():
+        if kind == STEP_FREE:
+            cols = {k: np.repeat(c, n) for k, c in cols.items()}
+            cols[target] = np.tile(vals, m)
+            m *= n
+        elif kind == STEP_DERIVE:
+            cols[target] = _eval_prog_np(code, s0, e0, tables, cols)
+        else:
+            keep = (_eval_prog_np(code, s0, e0, tables, cols)
+                    == _eval_prog_np(code, s1, e1, tables, cols))
+            cols = {k: c[keep] for k, c in cols.items()}
+            m = int(np.count_nonzero(keep))
+            if m == 0:
+                break
+    out = np.empty((m, g), dtype=np.int64)
+    for k, c in cols.items():
+        out[:, k] = c
+    return out
 
 
 _BACKENDS: dict[str, dict] = {
@@ -267,40 +276,54 @@ try:
         return stack[0]
 
     @njit(cache=True)
-    def _enumerate_nb(n, g, star, bar, r1, r2, code, spans, depth_ptr, rel_order, max_stack):  # pragma: no cover
+    def _enumerate_nb(n, g, star, bar, r1, r2, code, steps, max_stack):  # pragma: no cover
+        # depth-first over the plan; a failed check or an exhausted free
+        # generator backtracks to the previous free step
         vals = np.zeros(g, dtype=np.int64)
         stack = np.zeros(max_stack, dtype=np.int64)
         cap = 64
         out = np.empty((cap, g), dtype=np.int64)
         m = 0
-        depth = 0
-        vals[0] = -1
-        while depth >= 0:
-            vals[depth] += 1
-            if vals[depth] == n:
-                depth -= 1
-                continue
-            ok = True
-            for k in range(depth_ptr[depth], depth_ptr[depth + 1]):
-                r = rel_order[k]
-                lv = _eval_prog_nb(code, spans[r, 0], spans[r, 1], star, bar, r1, r2, vals, stack)
-                rv = _eval_prog_nb(code, spans[r, 2], spans[r, 3], star, bar, r1, r2, vals, stack)
-                if lv != rv:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            if depth == g - 1:
-                if m == cap:
-                    cap *= 2
-                    grown = np.empty((cap, g), dtype=np.int64)
-                    grown[:m] = out[:m]
-                    out = grown
-                out[m] = vals
-                m += 1
+        k = 0
+        forward = True
+        while True:
+            if forward:
+                if k == steps.shape[0]:
+                    if m == cap:
+                        cap *= 2
+                        grown = np.empty((cap, g), dtype=np.int64)
+                        grown[:m] = out[:m]
+                        out = grown
+                    out[m] = vals
+                    m += 1
+                    forward = False
+                    k -= 1
+                    continue
+                kind = steps[k, 0]
+                if kind == STEP_FREE:
+                    vals[steps[k, 1]] = 0
+                elif kind == STEP_DERIVE:
+                    vals[steps[k, 1]] = _eval_prog_nb(code, steps[k, 2], steps[k, 3],
+                                                      star, bar, r1, r2, vals, stack)
+                else:
+                    lv = _eval_prog_nb(code, steps[k, 2], steps[k, 3], star, bar, r1, r2, vals, stack)
+                    rv = _eval_prog_nb(code, steps[k, 4], steps[k, 5], star, bar, r1, r2, vals, stack)
+                    if lv != rv:
+                        forward = False
+                        continue
+                k += 1
             else:
-                depth += 1
-                vals[depth] = -1
+                while k >= 0 and steps[k, 0] != STEP_FREE:
+                    k -= 1
+                if k < 0:
+                    break
+                t = steps[k, 1]
+                vals[t] += 1
+                if vals[t] == n:
+                    k -= 1
+                else:
+                    k += 1
+                    forward = True
         return out[:m].copy()
 
     _BACKENDS["numba"] = {
@@ -352,7 +375,12 @@ def sing_violations(star, bar, r1, r2, cap: int) -> np.ndarray:
     return _BACKENDS[active_backend()]["sing"](star, bar, r1, r2, cap)
 
 
-def enumerate_colorings(n, g, star, bar, r1, r2, code, spans, depth_ptr, rel_order, max_stack) -> np.ndarray:
-    """All satisfying assignments, rows in lexicographic order, shape (m, g)."""
-    return _BACKENDS[active_backend()]["enum"](
-        n, g, star, bar, r1, r2, code, spans, depth_ptr, rel_order, max_stack)
+def enumerate_colorings(n, g, star, bar, r1, r2, code, steps, max_stack) -> np.ndarray:
+    """All satisfying assignments, rows in lexicographic order, shape (m, g).
+
+    The backends return rows in the order of their search; one sort by the
+    columns in generator order makes the result independent of the plan.
+    """
+    rows = _BACKENDS[active_backend()]["enum"](
+        n, g, star, bar, r1, r2, code, steps, max_stack)
+    return rows[np.lexsort(rows.T[::-1])]

@@ -2,10 +2,13 @@
 
 A presentation is a generator list plus relations, each relation a pair of
 terms that every coloring must equate.  Colorings (homomorphisms into a
-finite target) are enumerated by exhaustive backtracking over generator
-assignments in list order; a relation is checked as soon as all of its
-generators are bound.  Results come back in lexicographic order of the
-assignment tuple, independent of backend.
+finite target) are found by a search planned at compile time: a relation
+``g = term`` whose term is already bound assigns g directly, ``y*z = x``
+and ``y/z = x`` are solved for y through the right inverse, and only the
+generators no relation determines are enumerated over all elements.  The
+remaining relations are checked as soon as all of their generators are
+bound.  Results come back in lexicographic order of the assignment tuple,
+independent of plan and backend.
 
 File format::
 
@@ -30,7 +33,7 @@ from . import kernels
 from .core import FiniteSingquandle
 from .errors import ParseError, UnboundGeneratorError
 from .polynomial import PhiInvariant, ssqp
-from .terms import Gen, Term, eval_term, generators_of, parse_term, render_term
+from .terms import Apply, Gen, Term, generators_of, parse_term, render_term
 
 
 @dataclass(frozen=True)
@@ -104,83 +107,136 @@ def render_presentation(pres: SingPresentation) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _compile_term(term: Term, index: dict[str, int], code: list[tuple[int, int]]):
+def _compile_term(term: Term, index: dict[str, int], code: list[tuple[int, int]]) -> int:
+    """Append the postorder program of term to code; return its peak stack depth."""
     if isinstance(term, Gen):
         code.append((kernels.OP_GEN, index[term.name]))
-        return
-    _compile_term(term.left, index, code)
-    _compile_term(term.right, index, code)
+        return 1
+    left = _compile_term(term.left, index, code)
+    right = _compile_term(term.right, index, code)
     op = {"*": kernels.OP_STAR, "/": kernels.OP_BAR,
           "R1": kernels.OP_R1, "R2": kernels.OP_R2}[term.op]
     code.append((op, 0))
+    return max(left, right + 1)
+
+
+def _solve(side: Term, other: Term, bound: set[str]) -> Optional[tuple[str, Term]]:
+    """Solve ``side = other``, a relation not yet fully bound, for the one
+    unbound generator of side, given that other is bound.
+
+    Peels bound right operands off side through the right inverse
+    (``y*z = x`` gives ``y = x/z``, ``y/z = x`` gives ``y = x*z``) until a
+    generator is left; R1 and R2 are never inverted.
+    """
+    if not set(generators_of(other)) <= bound:
+        return None
+    while (isinstance(side, Apply) and side.op in ("*", "/")
+           and set(generators_of(side.right)) <= bound):
+        other = Apply("/" if side.op == "*" else "*", other, side.right)
+        side = side.left
+    if isinstance(side, Gen):
+        return side.name, other
+    return None
+
+
+def _plan(pres: SingPresentation) -> list[tuple]:
+    """Order the search: ``("free", g)``, ``("derive", g, term)`` and
+    ``("check", lhs, rhs)`` steps that together bind every generator.
+
+    Fully bound relations become checks at once.  Otherwise the first
+    relation (in file order) that can be solved for an unbound generator
+    derives it; failing that, the unbound generator occurring in the most
+    pending relations is enumerated freely, ties going to the lowest index.
+    """
+    gens = [set(generators_of(lhs)) | set(generators_of(rhs)) for lhs, rhs in pres.relations]
+    pending = list(range(len(pres.relations)))
+    bound: set[str] = set()
+    steps: list[tuple] = []
+    while True:
+        for r in [r for r in pending if gens[r] <= bound]:
+            steps.append(("check", *pres.relations[r]))
+            pending.remove(r)
+        if len(bound) == len(pres.generators):
+            return steps
+        for r in pending:
+            lhs, rhs = pres.relations[r]
+            solved = _solve(lhs, rhs, bound) or _solve(rhs, lhs, bound)
+            if solved:
+                steps.append(("derive", *solved))
+                bound.add(solved[0])
+                pending.remove(r)
+                break
+        else:
+            free = max((g for g in pres.generators if g not in bound),
+                       key=lambda g: sum(g in gens[r] for r in pending))
+            steps.append(("free", free))
+            bound.add(free)
 
 
 def _compile(pres: SingPresentation):
-    """Flatten all relations into one instruction array plus span table."""
+    """Compile the plan into one instruction array plus a step table.
+
+    Step rows are ``[kind, target, start, end, start2, end2]``: a free step
+    enumerates generator ``target``, a derive step sets it to the program
+    ``code[start:end]``, and a check step keeps the rows on which the
+    programs ``code[start:end]`` and ``code[start2:end2]`` agree.
+    """
     index = {g: i for i, g in enumerate(pres.generators)}
     code: list[tuple[int, int]] = []
-    spans = []
-    ready = []
-    for lhs, rhs in pres.relations:
-        bounds = []
-        for t in (lhs, rhs):
-            start = len(code)
-            _compile_term(t, index, code)
-            bounds.extend((start, len(code)))
-        spans.append(bounds)
-        gens = set(generators_of(lhs)) | set(generators_of(rhs))
-        ready.append(max(index[g] for g in gens))
+    steps = []
+    max_stack = 1
 
-    g = len(pres.generators)
-    order = sorted(range(len(pres.relations)), key=lambda r: (ready[r], r))
-    depth_ptr = np.zeros(g + 1, dtype=np.int64)
-    for r in order:
-        depth_ptr[ready[r] + 1] += 1
-    depth_ptr = np.cumsum(depth_ptr)
+    def emit(term: Term) -> tuple[int, int]:
+        nonlocal max_stack
+        start = len(code)
+        max_stack = max(max_stack, _compile_term(term, index, code))
+        return start, len(code)
 
-    max_stack = 2
-    for ls, le, rs, re_ in spans:
-        for s, e in ((ls, le), (rs, re_)):
-            depth = peak = 0
-            for op, _ in code[s:e]:
-                depth += 1 if op == kernels.OP_GEN else -1
-                peak = max(peak, depth)
-            max_stack = max(max_stack, peak)
-
+    for kind, *args in _plan(pres):
+        if kind == "free":
+            steps.append((kernels.STEP_FREE, index[args[0]], 0, 0, 0, 0))
+        elif kind == "derive":
+            steps.append((kernels.STEP_DERIVE, index[args[0]], *emit(args[1]), 0, 0))
+        else:
+            steps.append((kernels.STEP_CHECK, -1, *emit(args[0]), *emit(args[1])))
     code_arr = np.array(code, dtype=np.int64).reshape(-1, 2)
-    spans_arr = np.array(spans, dtype=np.int64).reshape(-1, 4)
-    return code_arr, spans_arr, depth_ptr, np.array(order, dtype=np.int64), max_stack
+    steps_arr = np.array(steps, dtype=np.int64).reshape(-1, 6)
+    return code_arr, steps_arr, max_stack
+
+
+def _eval_rows(term: Term, q: FiniteSingquandle, cols: dict[str, np.ndarray]) -> np.ndarray:
+    """Evaluate term on every coloring at once; cols maps generator -> values."""
+    if isinstance(term, Gen):
+        return cols[term.name]
+    table = {"*": q.star, "/": q.bar, "R1": q.r1, "R2": q.r2}[term.op]
+    return table[_eval_rows(term.left, q, cols), _eval_rows(term.right, q, cols)]
 
 
 def enumerate_homs(pres: SingPresentation, q: FiniteSingquandle) -> list[dict[str, int]]:
     """All colorings of the presentation by q, in lexicographic order of the
     generator value tuple.  Every returned coloring is re-checked against
-    every relation with the plain tree evaluator, so backend pruning can
-    never admit a spurious solution."""
+    every relation by evaluating the relation terms directly, so backend
+    pruning or derivation can never admit a spurious solution."""
     if not pres.generators:
         return [{}]
-    code, spans, depth_ptr, order, max_stack = _compile(pres)
+    code, steps, max_stack = _compile(pres)
     rows = kernels.enumerate_colorings(
-        q.order, len(pres.generators), q.star, q.bar, q.r1, q.r2,
-        code, spans, depth_ptr, order, max_stack)
-    homs = []
-    for row in rows.tolist():
-        hom = dict(zip(pres.generators, row))
-        for lhs, rhs in pres.relations:
-            if eval_term(lhs, q, hom) != eval_term(rhs, q, hom):
-                raise RuntimeError(
-                    f"backend returned a spurious coloring {hom} for {pres.name or 'presentation'}")
-        homs.append(hom)
-    return homs
+        q.order, len(pres.generators), q.star, q.bar, q.r1, q.r2, code, steps, max_stack)
+    cols = dict(zip(pres.generators, rows.T))
+    bad = np.zeros(len(rows), dtype=bool)
+    for lhs, rhs in pres.relations:
+        bad |= _eval_rows(lhs, q, cols) != _eval_rows(rhs, q, cols)
+    if bad.any():
+        hom = dict(zip(pres.generators, rows[np.argmax(bad)].tolist()))
+        raise RuntimeError(
+            f"backend returned a spurious coloring {hom} for {pres.name or 'presentation'}")
+    return [dict(zip(pres.generators, row)) for row in rows.tolist()]
 
 
 def hom_image(q: FiniteSingquandle, hom: dict[str, int]) -> frozenset[int]:
-    """Image of a coloring: the closure of its generator values.  Images of
-    homomorphisms are always subsingquandles; that holds here because the
-    closure is taken explicitly."""
-    image = q.closure(hom.values())
-    assert q.is_subsingquandle(image)
-    return image
+    """Image of a coloring: the closure of its generator values, which is a
+    subsingquandle by construction."""
+    return q.closure(hom.values())
 
 
 def phi_ssqp(pres: SingPresentation, q: FiniteSingquandle) -> PhiInvariant:

@@ -76,14 +76,14 @@ def test_violation_cap_is_per_axiom():
 @pytest.mark.parametrize("link", ("1_1l", "6_11l", "K1", "K2"))
 def test_enumeration_agreement_on_corpus(link):
     pres = corpus.load(link)
-    code, spans, depth_ptr, order, max_stack = _compile(pres)
+    code, steps, max_stack = _compile(pres)
     for target in ("X-Z4", "X-Z8-a", "X-Z8-b"):
         q = corpus.load(target)
         rows = []
         for name in ("numpy", "numba"):
             rows.append(kernels._BACKENDS[name]["enum"](
                 q.order, len(pres.generators), q.star, q.bar, q.r1, q.r2,
-                code, spans, depth_ptr, order, max_stack))
+                code, steps, max_stack))
         assert np.array_equal(rows[0], rows[1])
 
 

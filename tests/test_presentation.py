@@ -1,13 +1,18 @@
 import random
+import re
 
+import numpy as np
 import pytest
 
-from singquandles import corpus
+from singquandles import corpus, kernels
+from singquandles.diagram import pd_to_presentation
 from singquandles.errors import ParseError
 from singquandles.formulas import affine_singquandle
 from singquandles.polynomial import PhiInvariant, ssqp
 from singquandles.presentation import (
     SingPresentation,
+    _compile,
+    _plan,
     counting_invariant,
     enumerate_homs,
     hom_image,
@@ -15,7 +20,7 @@ from singquandles.presentation import (
     phi_ssqp,
     render_presentation,
 )
-from singquandles.terms import parse_term
+from singquandles.terms import Gen, parse_term
 
 from oracles import brute_homs, naive_closure, shift_singquandle
 
@@ -70,6 +75,66 @@ def test_enumeration_matches_brute_force(link, target, backend):
     got = enumerate_homs(pres, q)
     want = brute_homs(pres, q)
     assert got == want  # same assignments, same lexicographic order
+
+
+@pytest.mark.parametrize("link", ("1_1l-pd", "K1-pd", "K2-pd"))
+@pytest.mark.parametrize("target", ("X-Z4", "Y-Z4"))
+def test_pd_enumeration_matches_brute_force(link, target, backend):
+    pres = pd_to_presentation(corpus.load(link))
+    q = corpus.load(target)
+    assert enumerate_homs(pres, q) == brute_homs(pres, q)
+
+
+@pytest.mark.parametrize("s", (0, 1))
+def test_wide_pd_enumeration_matches_brute_force(s, backend):
+    pres = pd_to_presentation(corpus.load("6_11l-pd"))
+    assert len(pres.generators) == 14
+    q = shift_singquandle(2, s)
+    assert enumerate_homs(pres, q) == brute_homs(pres, q)
+
+
+# one hand-written presentation per planner path, with the step it must plan
+PLANNER_PATHS = {
+    "generator on both sides": ("generators: x, y\nx = R2(x, y)\n",
+                                ("check", Gen("x"), parse_term("R2(x,y)"))),
+    "solve through *": ("generators: a, b, c\na*b = c\nb = R1(c, c)\n",
+                        ("derive", "a", parse_term("c/b"))),
+    "solve through /": ("generators: a, b, c\na/b = c\nb = R1(c, c)\n",
+                        ("derive", "a", parse_term("c*b"))),
+    "generator in no relation": ("generators: u, x, y\nx = R2(x, y)\nR1(x, y) * x = y\n",
+                                 ("free", "u")),
+    "relation x = x": ("generators: x, y\nx = x\nR1(x, y) = y\n",
+                       ("check", Gen("x"), Gen("x"))),
+}
+
+
+@pytest.mark.parametrize("path", PLANNER_PATHS)
+def test_planner_paths_match_brute_force(path, backend):
+    text, step = PLANNER_PATHS[path]
+    pres = P(text)
+    assert step in _plan(pres)
+    for q in (corpus.load("X-Z4"), corpus.load("Y-Z4"), corpus.load("X-Z8-a"),
+              shift_singquandle(3, 1)):
+        assert enumerate_homs(pres, q) == brute_homs(pres, q)
+
+
+@pytest.mark.parametrize("link,free", (("6_11l-pd", 3), ("K1-pd", 2)))
+def test_plan_enumerates_only_free_generators(link, free):
+    _, steps, _ = _compile(pd_to_presentation(corpus.load(link)))
+    assert np.count_nonzero(steps[:, 0] == kernels.STEP_FREE) == free
+
+
+def test_spurious_backend_rows_are_rejected(monkeypatch):
+    pres = corpus.load("1_1l")
+    q = corpus.load("X-Z8-a")
+    rows = np.array([[h[g] for g in pres.generators] for h in brute_homs(pres, q)])
+    bogus = rows.copy()
+    bogus[3, 2] = (bogus[3, 2] + 1) % q.order
+    bogus[5, 2] = (bogus[5, 2] + 1) % q.order
+    monkeypatch.setattr(kernels, "enumerate_colorings", lambda *args: bogus)
+    first = dict(zip(pres.generators, bogus[3].tolist()))
+    with pytest.raises(RuntimeError, match="spurious coloring " + re.escape(str(first))):
+        enumerate_homs(pres, q)
 
 
 def test_enumeration_on_random_affine_targets(backend):
