@@ -18,7 +18,15 @@ from .errors import ParseError, ValidationError
 from .fileformats import load_singquandle, render_singquandle
 from .formulas import affine_singquandle
 from .polynomial import PhiInvariant, SqPolynomial, sqp, ssqp
-from .presentation import SingPresentation, enumerate_homs, hom_image, parse_presentation, phi_ssqp, render_presentation
+from .presentation import (
+    SingPresentation,
+    enumerate_homs,
+    group_by_seed,
+    hom_image,
+    parse_presentation,
+    phi_ssqp,
+    render_presentation,
+)
 
 USAGE_ERROR, PARSE_ERROR, VALIDATION_ERROR = 2, 3, 4
 
@@ -113,10 +121,11 @@ def _cmd_color(args) -> int:
     if args.list:
         if args.format != "machine":
             print("generators: " + " ".join(pres.generators))
+        images = {seed: ",".join(q.labels[x] for x in sorted(hom_image(q, hom)))
+                  for seed, (hom, _) in group_by_seed(homs).items()}
         for hom in homs:
             values = " ".join(q.labels[hom[g]] for g in pres.generators)
-            image = ",".join(q.labels[x] for x in sorted(hom_image(q, hom)))
-            print(f"{values} -> {{{image}}}")
+            print(f"{values} -> {{{images[frozenset(hom.values())]}}}")
     return 0
 
 

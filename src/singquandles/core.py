@@ -117,9 +117,9 @@ def _rows(arr: np.ndarray) -> tuple[Violation, ...]:
     return tuple(out)
 
 
-def validate_tables(star, r1, r2, order: Optional[int] = None) -> ValidationReport:
-    """Exhaustive check of all axioms; collects violations up to MAX_VIOLATIONS."""
-    n = order if order is not None else len(star)
+def _validate(star, r1, r2, n: int):
+    """Convert and check the tables; returns the report, the converted star,
+    r1 and r2, and bar (None when star is not right-invertible)."""
     star = _as_table(star, n, "star")
     r1 = _as_table(r1, n, "R1")
     r2 = _as_table(r2, n, "R2")
@@ -128,15 +128,22 @@ def validate_tables(star, r1, r2, order: Optional[int] = None) -> ValidationRepo
     q_bad = kernels.quandle_violations(star, MAX_VIOLATIONS)
     for code, witness in _rows(q_bad):
         violations.append(Violation(_QUANDLE_AXIOMS[code], witness))
-    right_invertible = not any(v.axiom == "right-invertibility" for v in violations)
-    if right_invertible:
+    bar = None
+    if not any(v.axiom == "right-invertibility" for v in violations):
         bar = derive_bar(star)
         s_bad = kernels.sing_violations(star, bar, r1, r2, MAX_VIOLATIONS)
         for code, witness in _rows(s_bad):
             violations.append(Violation(_SING_AXIOMS[code], witness))
 
     violations = violations[:MAX_VIOLATIONS]
-    return ValidationReport(ok=not violations, order=n, violations=tuple(violations))
+    report = ValidationReport(ok=not violations, order=n, violations=tuple(violations))
+    return report, star, r1, r2, bar
+
+
+def validate_tables(star, r1, r2, order: Optional[int] = None) -> ValidationReport:
+    """Exhaustive check of all axioms; collects violations up to MAX_VIOLATIONS."""
+    n = order if order is not None else len(star)
+    return _validate(star, r1, r2, n)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,19 +259,18 @@ class FiniteSingquandle:
 def table_singquandle(order: int, star, r1, r2,
                       labels: Optional[Sequence[str]] = None) -> FiniteSingquandle:
     """Build and fully validate a structure from explicit tables."""
-    report = validate_tables(star, r1, r2, order)
+    report, star, r1, r2, bar = _validate(star, r1, r2, order)
     if not report.ok:
         quandle_axioms = set(_QUANDLE_AXIOMS.values())
         if any(v.axiom in quandle_axioms for v in report.violations):
             raise NotAQuandleError(report)
         raise NotASingquandleError(report)
-    star = _as_table(star, order, "star")
     return FiniteSingquandle(
         order=order,
         star=star,
-        bar=derive_bar(star),
-        r1=_as_table(r1, order, "R1"),
-        r2=_as_table(r2, order, "R2"),
+        bar=bar,
+        r1=r1,
+        r2=r2,
         labels=tuple(labels) if labels is not None else (),
     )
 
@@ -272,7 +278,7 @@ def table_singquandle(order: int, star, r1, r2,
 @dataclass(frozen=True)
 class IsomorphismResult:
     mapping: Optional[tuple[int, ...]]
-    reason: Optional[str]  # set when mapping is None: sqp-mismatch | profile-mismatch | exhausted
+    reason: Optional[str]  # set when mapping is None: sqp-mismatch | exhausted
 
     def __bool__(self) -> bool:
         return self.mapping is not None
@@ -292,21 +298,18 @@ def find_isomorphism(q1: FiniteSingquandle, q2: FiniteSingquandle) -> Isomorphis
     if q1.order != q2.order or mult1 != mult2:
         return IsomorphismResult(None, "sqp-mismatch")
 
-    candidates = []
+    # equal profile multisets give every element at least one candidate
     by_profile: dict[tuple, list[int]] = {}
     for j, prof in enumerate(map(tuple, p2.tolist())):
         by_profile.setdefault(prof, []).append(j)
-    for i in range(q1.order):
-        cand = by_profile.get(tuple(p1[i].tolist()), [])
-        if not cand:
-            return IsomorphismResult(None, "profile-mismatch")
-        candidates.append(cand)
+    candidates = [by_profile[prof] for prof in map(tuple, p1.tolist())]
 
     # assign rare-profile elements first; ties by index keep the search stable
     order = sorted(range(q1.order), key=lambda i: (len(candidates[i]), i))
     n = q1.order
     f = [-1] * n
     used = [False] * n
+    tables = ((q1.star, q2.star), (q1.r1, q2.r1), (q1.r2, q2.r2))
 
     def consistent(i: int) -> bool:
         fi = f[i]
@@ -314,7 +317,7 @@ def find_isomorphism(q1: FiniteSingquandle, q2: FiniteSingquandle) -> Isomorphis
             fj = f[j]
             if fj < 0:
                 continue
-            for t1, t2 in ((q1.star, q2.star), (q1.r1, q2.r1), (q1.r2, q2.r2)):
+            for t1, t2 in tables:
                 img = f[t1[i, j]]
                 if img >= 0 and t2[fi, fj] != img:
                     return False
@@ -323,9 +326,16 @@ def find_isomorphism(q1: FiniteSingquandle, q2: FiniteSingquandle) -> Isomorphis
                     return False
         return True
 
+    def homomorphism() -> bool:
+        # consistent() misses a pair whose product is mapped after both
+        # factors, so a complete mapping is accepted only after one
+        # comparison of all three tables
+        fa = np.array(f, dtype=np.int64)
+        return all(np.array_equal(t2[fa[:, None], fa[None, :]], fa[t1]) for t1, t2 in tables)
+
     def backtrack(k: int) -> bool:
         if k == n:
-            return True
+            return homomorphism()
         i = order[k]
         for target in candidates[i]:
             if used[target]:

@@ -129,6 +129,18 @@ def _eval_prog_np(code, start, end, tables, cols):
     return stack[0]
 
 
+def _share(cols: dict, fn) -> dict:
+    """Apply fn once per distinct array in cols.  A derive like ``c = b``
+    stores one array under two keys; the result stays shared, not copied."""
+    done: dict[int, np.ndarray] = {}
+    out = {}
+    for k, c in cols.items():
+        if id(c) not in done:
+            done[id(c)] = fn(c)
+        out[k] = done[id(c)]
+    return out
+
+
 def _enumerate_np(n, g, star, bar, r1, r2, code, steps, max_stack):
     # breadth-first over the plan: the frontier keeps one column per bound
     # generator, grows n-fold only at a free step and is pruned at each check
@@ -138,7 +150,7 @@ def _enumerate_np(n, g, star, bar, r1, r2, code, steps, max_stack):
     m = 1
     for kind, target, s0, e0, s1, e1 in steps.tolist():
         if kind == STEP_FREE:
-            cols = {k: np.repeat(c, n) for k, c in cols.items()}
+            cols = _share(cols, lambda c: np.repeat(c, n))
             cols[target] = np.tile(vals, m)
             m *= n
         elif kind == STEP_DERIVE:
@@ -146,7 +158,7 @@ def _enumerate_np(n, g, star, bar, r1, r2, code, steps, max_stack):
         else:
             keep = (_eval_prog_np(code, s0, e0, tables, cols)
                     == _eval_prog_np(code, s1, e1, tables, cols))
-            cols = {k: c[keep] for k, c in cols.items()}
+            cols = _share(cols, lambda c: c[keep])
             m = int(np.count_nonzero(keep))
             if m == 0:
                 break

@@ -19,7 +19,8 @@ Python integers.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Union
+from collections import Counter
+from typing import Iterable, Mapping, Sequence, Union
 
 from .core import FiniteSingquandle
 from .errors import NotASubsingquandleError
@@ -92,9 +93,15 @@ class SqPolynomial:
         return " + ".join(parts)
 
 
+def _subset_poly(rows: Sequence[Sequence[int]], members: Iterable[int]) -> SqPolynomial:
+    """Sum of the profile monomials of members; rows is ``q.profiles().tolist()``
+    of the ambient structure, taken once by the caller and shared."""
+    return SqPolynomial(Counter(tuple(rows[x]) for x in members).items())
+
+
 def sqp(q: FiniteSingquandle) -> SqPolynomial:
     """Singquandle polynomial: sum of profile monomials over the carrier."""
-    return SqPolynomial((tuple(row), 1) for row in q.profiles().tolist())
+    return _subset_poly(q.profiles().tolist(), range(q.order))
 
 
 def ssqp(q: FiniteSingquandle, subset: Iterable[int]) -> SqPolynomial:
@@ -104,8 +111,7 @@ def ssqp(q: FiniteSingquandle, subset: Iterable[int]) -> SqPolynomial:
     if not q.is_subsingquandle(members):
         raise NotASubsingquandleError(
             f"{members} is not a subsingquandle (empty or not closed)")
-    profs = q.profiles()
-    return SqPolynomial((tuple(profs[x].tolist()), 1) for x in members)
+    return _subset_poly(q.profiles().tolist(), members)
 
 
 def quandle_restriction(p: SqPolynomial) -> dict[tuple[int, int], int]:
@@ -173,10 +179,11 @@ class PhiInvariant:
 
 def phi_from_images(q: FiniteSingquandle, images: Iterable[Iterable[int]]) -> PhiInvariant:
     """Build phi from explicit coloring images; each must be a subsingquandle."""
+    rows = q.profiles().tolist()
     polys = []
     for i, image in enumerate(images):
         members = set(image)
         if not q.is_subsingquandle(members):
             raise NotASubsingquandleError(f"image #{i} {sorted(members)} is not a subsingquandle")
-        polys.append(ssqp(q, members))
+        polys.append(_subset_poly(rows, map(int, members)))
     return PhiInvariant(polys)

@@ -24,6 +24,7 @@ relation in the term grammar of :mod:`singquandles.terms`.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -32,7 +33,7 @@ import numpy as np
 from . import kernels
 from .core import FiniteSingquandle
 from .errors import ParseError, UnboundGeneratorError
-from .polynomial import PhiInvariant, ssqp
+from .polynomial import PhiInvariant, _subset_poly
 from .terms import Apply, Gen, Term, generators_of, parse_term, render_term
 
 
@@ -239,10 +240,32 @@ def hom_image(q: FiniteSingquandle, hom: dict[str, int]) -> frozenset[int]:
     return q.closure(hom.values())
 
 
+def group_by_seed(homs: list[dict[str, int]]) -> dict[frozenset[int], list]:
+    """Colorings grouped by their set of generator values, which alone
+    determines the image: seed set -> [first coloring, number of colorings]."""
+    groups: dict[frozenset[int], list] = {}
+    for hom in homs:
+        seed = frozenset(hom.values())
+        if seed in groups:
+            groups[seed][1] += 1
+        else:
+            groups[seed] = [hom, 1]
+    return groups
+
+
 def phi_ssqp(pres: SingPresentation, q: FiniteSingquandle) -> PhiInvariant:
-    """The multiset of ssqp values over all coloring images."""
-    polys = [ssqp(q, hom_image(q, hom)) for hom in enumerate_homs(pres, q)]
-    return PhiInvariant(polys)
+    """The multiset of ssqp values over all coloring images.
+
+    The ambient profiles are taken once per call, the closure once per
+    distinct seed set, and each distinct image gets one polynomial, weighted
+    by its number of colorings.  Distinct images may share a polynomial, so
+    PhiInvariant gets (poly, count) pairs and merges them itself.
+    """
+    rows = q.profiles().tolist()
+    counts: Counter[frozenset[int]] = Counter()
+    for hom, m in group_by_seed(enumerate_homs(pres, q)).values():
+        counts[hom_image(q, hom)] += m
+    return PhiInvariant([(_subset_poly(rows, image), m) for image, m in counts.items()])
 
 
 def counting_invariant(pres: SingPresentation, q: FiniteSingquandle) -> int:

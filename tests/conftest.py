@@ -1,6 +1,7 @@
 import pytest
 
 from singquandles import corpus, kernels
+from singquandles.core import FiniteSingquandle
 
 
 @pytest.fixture(scope="session")
@@ -30,3 +31,18 @@ def backend(request):
     kernels.set_backend(request.param)
     yield request.param
     kernels.set_backend(before)
+
+
+@pytest.fixture
+def structure_calls(monkeypatch):
+    """Counts of FiniteSingquandle.profiles and .closure calls, on every
+    structure, from the moment the fixture is set up."""
+    calls = {"profiles": 0, "closure": 0}
+    for name in calls:
+        orig = getattr(FiniteSingquandle, name)
+
+        def counted(self, *args, _orig=orig, _name=name):
+            calls[_name] += 1
+            return _orig(self, *args)
+        monkeypatch.setattr(FiniteSingquandle, name, counted)
+    return calls

@@ -107,6 +107,17 @@ def test_set_backend_rejects_unknown():
         kernels.set_backend("fortran")
 
 
+def test_numpy_frontier_keeps_aliased_columns_shared():
+    # a derive like c = b stores one array under two keys; repeating or
+    # filtering the frontier must transform it once and keep it shared
+    a, b = np.arange(3), np.arange(3, 6)
+    calls = []
+    out = kernels._share({0: a, 1: b, 2: a}, lambda c: calls.append(1) or c * 2)
+    assert len(calls) == 2
+    assert out[0] is out[2]
+    assert out[1].tolist() == [6, 8, 10]
+
+
 def _child_env(backend):
     """The parent's environment, importing the same singquandles under test."""
     pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(singquandles.__file__)))

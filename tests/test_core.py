@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from singquandles import corpus
+from singquandles import core, corpus
 from singquandles.core import (
     FiniteSingquandle,
     derive_bar,
@@ -245,6 +245,38 @@ def test_iso_shift_conjugate():
     # +1 and +3 are conjugate 4-cycles, so these are isomorphic
     result = find_isomorphism(shift_singquandle(4, 1), shift_singquandle(4, 3))
     assert result
+
+
+def _unvalidated(star) -> FiniteSingquandle:
+    # star only; R1 = R2 = the left projection, bar unused by the search
+    star = np.array(star, dtype=np.int64)
+    proj = np.repeat(np.arange(len(star))[:, None], len(star), axis=1)
+    return FiniteSingquandle(order=len(star), star=star, bar=star.copy(), r1=proj, r2=proj.copy())
+
+
+def test_iso_result_is_a_homomorphism():
+    # on these tables the pairwise consistency check alone accepts a mapping
+    # that is not a homomorphism (a pair whose product is mapped last is
+    # never compared); the full table comparison rejects it and the search
+    # goes on, to the real isomorphism or to exhaustion
+    a = _unvalidated([[2, 2, 1], [2, 2, 2], [1, 1, 1]])
+    b = _unvalidated([[1, 1, 1], [0, 0, 0], [1, 0, 0]])  # a relabelled by (2, 1, 0)
+    assert find_isomorphism(a, b).mapping == (2, 1, 0)
+    c = _unvalidated([[0, 1, 0], [2, 1, 0], [0, 1, 0]])
+    d = _unvalidated([[0, 0, 2], [0, 0, 2], [0, 0, 2]])
+    result = find_isomorphism(c, d)
+    assert not result
+    assert result.reason == "exhausted"
+
+
+def test_build_converts_and_derives_once(monkeypatch, xz8a):
+    calls = []
+    orig = core.derive_bar
+    monkeypatch.setattr(core, "derive_bar", lambda star: calls.append(1) or orig(star))
+    q = table_singquandle(8, xz8a.star.tolist(), xz8a.r1.tolist(), xz8a.r2.tolist())
+    assert len(calls) == 1
+    assert q == xz8a
+    assert np.array_equal(q.bar, xz8a.bar)
 
 
 def test_report_describe_mentions_axiom():

@@ -127,8 +127,13 @@ def test_phi_from_images(xz4):
 
 
 def test_phi_from_images_validates(xz8a):
-    with pytest.raises(NotASubsingquandleError):
-        phi_from_images(xz8a, [frozenset([0, 1])])
+    with pytest.raises(NotASubsingquandleError, match=r"image #1 \[0, 1\] is not a subsingquandle"):
+        phi_from_images(xz8a, [frozenset(range(8)), frozenset([0, 1])])
+
+
+def test_phi_from_images_checks_once_and_takes_one_profile_table(structure_calls, xz4):
+    phi_from_images(xz4, [frozenset([1, 3]), frozenset(range(4)), frozenset([1, 3])])
+    assert structure_calls == {"profiles": 1, "closure": 3}
 
 
 def test_shift_structure_polynomial():

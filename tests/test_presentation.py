@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from singquandles import corpus, kernels
-from singquandles.diagram import pd_to_presentation
+from singquandles.diagram import SingularPD, pd_to_presentation
 from singquandles.errors import ParseError
 from singquandles.formulas import affine_singquandle
 from singquandles.polynomial import PhiInvariant, ssqp
@@ -224,3 +224,46 @@ def test_phi_entries_are_image_polynomials(xz8b):
     homs = enumerate_homs(pres, xz8b)
     polys = [ssqp(xz8b, hom_image(xz8b, h)) for h in homs]
     assert phi_ssqp(pres, xz8b) == PhiInvariant(polys)
+
+
+def _link(cid: str) -> SingPresentation:
+    obj = corpus.load(cid)
+    return pd_to_presentation(obj) if isinstance(obj, SingularPD) else obj
+
+
+def _phi_per_coloring(pres, q) -> PhiInvariant:
+    # the definition, one closure and one ssqp per coloring
+    return PhiInvariant([ssqp(q, q.closure(h.values())) for h in enumerate_homs(pres, q)])
+
+
+ALL_LINKS = LINKS + ("1_1l-pd", "6_11l-pd", "K1-pd", "K2-pd")
+
+
+@pytest.mark.parametrize("link", ALL_LINKS)
+@pytest.mark.parametrize("target", TARGETS)
+def test_phi_equals_per_coloring_definition(link, target):
+    pres, q = _link(link), corpus.load(target)
+    assert phi_ssqp(pres, q) == _phi_per_coloring(pres, q)
+
+
+def test_phi_counts_images_that_share_a_polynomial():
+    # 144 colorings, 28 distinct images but only 6 distinct polynomials: a
+    # merge that keys counts by polynomial and overwrites would lose colorings
+    pres, q = corpus.load("1_1l"), affine_singquandle(12, 11, 2)
+    homs = enumerate_homs(pres, q)
+    images = {q.closure(h.values()) for h in homs}
+    assert (len(homs), len(images), len({ssqp(q, im) for im in images})) == (144, 28, 6)
+    phi = phi_ssqp(pres, q)
+    assert phi == _phi_per_coloring(pres, q)
+    assert phi.counting() == 144
+    assert len(phi.entries()) == 6
+
+
+@pytest.mark.parametrize("link, target", [("1_1l", "X-Z8-a"), ("6_11l", "X-Z8-a"),
+                                          ("K1-pd", "X-Z8-b")])
+def test_phi_takes_one_profile_table_and_one_closure_per_seed_set(structure_calls, link, target):
+    pres, q = _link(link), corpus.load(target)
+    seeds = {frozenset(h.values()) for h in enumerate_homs(pres, q)}
+    phi_ssqp(pres, q)
+    assert structure_calls["profiles"] == 1
+    assert 0 < structure_calls["closure"] <= len(seeds)
