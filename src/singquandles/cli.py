@@ -1,7 +1,8 @@
 """Command line interface.
 
 Inputs are file paths or ``corpus:<id>`` references.  Exit status: 0 on
-success, 2 for usage errors, 3 for unparseable input, 4 for validation
+success, 2 for usage errors, 3 for unparseable input (including a file
+header whose order exceeds ``fileformats.MAX_ORDER``), 4 for validation
 failures (tables that are not singquandles, bad subsets, and the like).
 """
 

@@ -333,21 +333,34 @@ def find_isomorphism(q1: FiniteSingquandle, q2: FiniteSingquandle) -> Isomorphis
         fa = np.array(f, dtype=np.int64)
         return all(np.array_equal(t2[fa[:, None], fa[None, :]], fa[t1]) for t1, t2 in tables)
 
-    def backtrack(k: int) -> bool:
+    # depth-first over `order` with an explicit stack, so no order hits the
+    # recursion limit: tried[k] counts the candidates of order[k] taken so far
+    tried = [0] * n
+    k = 0
+    while k >= 0:
         if k == n:
-            return homomorphism()
+            if homomorphism():
+                return IsomorphismResult(tuple(f), None)
+            k -= 1
+            continue
         i = order[k]
-        for target in candidates[i]:
+        if f[i] >= 0:  # back from depth k + 1: release the current target
+            used[f[i]] = False
+            f[i] = -1
+        while tried[k] < len(candidates[i]):
+            target = candidates[i][tried[k]]
+            tried[k] += 1
             if used[target]:
                 continue
             f[i] = target
             used[target] = True
-            if consistent(i) and backtrack(k + 1):
-                return True
+            if consistent(i):
+                break
             used[target] = False
             f[i] = -1
-        return False
-
-    if backtrack(0):
-        return IsomorphismResult(tuple(f), None)
+        if f[i] >= 0:
+            k += 1
+        else:
+            tried[k] = 0
+            k -= 1
     return IsomorphismResult(None, "exhausted")

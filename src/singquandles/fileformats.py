@@ -41,6 +41,11 @@ from .formulas import formula_singquandle, parse_formula
 
 _HEADER_RE = re.compile(r"^(singquandle|singquandle-formula)\s+n\s*=\s*(\d+)\s*$")
 
+# Largest order a file header may declare.  An n x n int64 table takes
+# 8 n^2 bytes (128 MB at 4096) and validation holds about ten at once; a
+# larger header fails as a ParseError before any table is allocated.
+MAX_ORDER = 4096
+
 
 def parse_singquandle(text: str) -> FiniteSingquandle:
     lines = []
@@ -54,7 +59,11 @@ def parse_singquandle(text: str) -> FiniteSingquandle:
     if m is None:
         raise ParseError(f"bad header {lines[0]!r}; expected 'singquandle n=<order>' "
                          "or 'singquandle-formula n=<order>'")
-    n = int(m.group(2))
+    digits = m.group(2).lstrip("0") or "0"
+    # compared by length first: int() rejects a header of thousands of digits
+    if len(digits) > len(str(MAX_ORDER)) or int(digits) > MAX_ORDER:
+        raise ParseError(f"order n={m.group(2)} is larger than the maximum {MAX_ORDER}")
+    n = int(digits)
     if n < 1:
         raise ParseError("order must be at least 1")
     if m.group(1) == "singquandle":
@@ -111,13 +120,12 @@ def _parse_table_variant(lines: list[str], n: int) -> FiniteSingquandle:
     for key, rows in blocks.items():
         if len(rows) != n or any(len(r) != n for r in rows):
             raise ParseError(f"block {key} must be {n} rows of {n} entries")
-        t = np.empty((n, n), dtype=np.int64)
-        for i, row in enumerate(rows):
-            for j, entry in enumerate(row):
-                if entry not in index:
-                    raise ParseError(f"entry {entry!r} in block {key} is not a declared label")
-                t[i, j] = index[entry]
-        tables[key] = t
+        try:
+            tables[key] = np.array([list(map(index.__getitem__, row)) for row in rows],
+                                   dtype=np.int64)
+        except KeyError:
+            entry = next(e for row in rows for e in row if e not in index)
+            raise ParseError(f"entry {entry!r} in block {key} is not a declared label") from None
 
     # numeric labels that form a permutation of 0..n-1 normalize to residue order
     if set(labels) == {str(i) for i in range(n)}:

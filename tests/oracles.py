@@ -123,3 +123,52 @@ def shift_singquandle(n: int, s: int = 1) -> FiniteSingquandle:
     r1 = [[(y + s) % n for y in range(n)] for _ in range(n)]
     r2 = [[(x + s) % n for _ in range(n)] for x in range(n)]
     return table_singquandle(n, star, r1, r2)
+
+
+def violation_rows(star, bar, r1, r2, cap):
+    """Violation rows (code, a, b, c), -1 padded, from plain loops.
+
+    Returns the quandle rows and the singular rows, each in (code, a, b, c)
+    order with at most cap rows per code.  The singular list is empty when
+    bar is None (star is not right-invertible).
+    """
+    star, r1, r2 = ([[int(v) for v in row] for row in t] for t in (star, r1, r2))
+    n = len(star)
+    els = range(n)
+    quandle: dict[int, list] = {0: [], 1: [], 2: []}
+    for a in els:
+        if star[a][a] != a:
+            quandle[0].append((0, a, -1, -1))
+    for y in els:
+        for z in els:
+            if sum(1 for x in els if star[x][y] == z) != 1:
+                quandle[1].append((1, y, z, -1))
+    for a in els:
+        for b in els:
+            for c in els:
+                if star[star[a][b]][c] != star[star[a][c]][star[b][c]]:
+                    quandle[2].append((2, a, b, c))
+
+    singular: dict[int, list] = {k: [] for k in range(1, 6)}
+    if bar is not None:
+        bar = [[int(v) for v in row] for row in bar]
+        for a in els:
+            for b in els:
+                for c in els:
+                    if star[r1[bar[a][b]][c]][b] != r1[a][star[c][b]]:
+                        singular[1].append((1, a, b, c))
+                    if r2[bar[a][b]][c] != bar[r2[a][star[c][b]]][b]:
+                        singular[2].append((2, a, b, c))
+                    if star[bar[b][r1[a][c]]][a] != bar[star[b][r2[a][c]]][c]:
+                        singular[3].append((3, a, b, c))
+        for a in els:
+            for b in els:
+                if r2[a][b] != r1[b][star[a][b]]:
+                    singular[4].append((4, a, b, -1))
+                if star[r1[a][b]][r2[a][b]] != r2[b][star[a][b]]:
+                    singular[5].append((5, a, b, -1))
+
+    def capped(groups):
+        return [row for rows in groups.values() for row in rows[:cap]]
+
+    return capped(quandle), capped(singular)

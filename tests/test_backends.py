@@ -9,27 +9,58 @@ import pytest
 import singquandles
 from singquandles import corpus, kernels
 from singquandles.core import derive_bar
+from singquandles.errors import NotRightInvertibleError
 from singquandles.formulas import affine_singquandle
 from singquandles.presentation import _compile, enumerate_homs
+
+from oracles import shift_singquandle, violation_rows
 
 HAVE_BOTH = set(kernels.available_backends()) >= {"numba", "numpy"}
 needs_both = pytest.mark.skipif(not HAVE_BOTH, reason="numba not importable")
 
 
 def _random_tables(rng, n):
-    """A mix of valid structures and arbitrary junk tables."""
-    if rng.random() < 0.5:
-        t = rng.choice([t for t in range(1, n) if np.gcd(t, n) == 1])
-        q = affine_singquandle(n, t, rng.randrange(n))
+    """Affine and shift structures (shift is not affine), possibly with a few
+    cells corrupted, and junk tables, half with a right-invertible star."""
+    kind = rng.randrange(4)
+    if kind < 2:
+        if kind == 0:
+            t = rng.choice([t for t in range(1, n) if np.gcd(t, n) == 1])
+            q = affine_singquandle(n, t, rng.randrange(n))
+        else:
+            q = shift_singquandle(n, rng.randrange(n))
         star, r1, r2 = q.star.copy(), q.r1.copy(), q.r2.copy()
-        for _ in range(rng.randrange(3)):  # possibly corrupt a few cells
+        for _ in range(rng.randrange(4)):  # possibly corrupt a few cells
             table = rng.choice([star, r1, r2])
             table[rng.randrange(n), rng.randrange(n)] = rng.randrange(n)
-    else:
+        return star, r1, r2
+    if kind == 2:
         star = np.array([[rng.randrange(n) for _ in range(n)] for _ in range(n)])
-        r1 = np.array([[rng.randrange(n) for _ in range(n)] for _ in range(n)])
-        r2 = np.array([[rng.randrange(n) for _ in range(n)] for _ in range(n)])
+    else:
+        star = np.array([rng.sample(range(n), n) for _ in range(n)]).T
+    r1 = np.array([[rng.randrange(n) for _ in range(n)] for _ in range(n)])
+    r2 = np.array([[rng.randrange(n) for _ in range(n)] for _ in range(n)])
     return star, r1, r2
+
+
+def test_violation_rows_match_oracle(backend):
+    # exact witnesses, row for row: order within each code and the per-code cap
+    rng = random.Random(11)
+    singular_tables = 0
+    for _ in range(120):
+        star, r1, r2 = _random_tables(rng, rng.randrange(2, 9))
+        try:
+            bar = derive_bar(star)
+        except NotRightInvertibleError:
+            bar = None
+        singular_tables += bar is not None
+        for cap in (1, 3, 100):
+            quandle, singular = violation_rows(star, bar, r1, r2, cap)
+            assert kernels.quandle_violations(star, cap).tolist() == [list(r) for r in quandle]
+            if bar is not None:
+                got = kernels.sing_violations(star, bar, r1, r2, cap).tolist()
+                assert got == [list(r) for r in singular]
+    assert singular_tables >= 60
 
 
 @needs_both

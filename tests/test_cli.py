@@ -1,8 +1,10 @@
+import tracemalloc
+
 import pytest
 
 from singquandles import corpus
 from singquandles.cli import main
-from singquandles.fileformats import load_singquandle
+from singquandles.fileformats import MAX_ORDER, load_singquandle
 from singquandles.formulas import affine_singquandle
 from singquandles.presentation import parse_presentation
 
@@ -30,6 +32,36 @@ def test_validate_bad_file(tmp_path, capsys):
     code, _, err = run(capsys, "validate", str(p))
     assert code == 4
     assert "idempotence" in err
+
+
+@pytest.mark.parametrize("header", [
+    "singquandle-formula n=1000000",
+    f"singquandle n={MAX_ORDER + 1}",
+    "singquandle n=" + "9" * 5000,  # more digits than int() converts
+], ids=["formula-1e6", "table-max-plus-1", "table-5000-digits"])
+def test_validate_rejects_order_above_maximum(tmp_path, capsys, header):
+    p = tmp_path / "huge.sq"
+    p.write_text(header + "\nstar = x\nR1 = y\nR2 = x\n")
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "validate", str(p))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: order n=") and f"larger than the maximum {MAX_ORDER}" in err
+    assert "Traceback" not in err
+    assert peak < 1 << 20
+
+
+def test_validate_accepts_maximum_order_header(tmp_path, capsys):
+    # the guard lets n = MAX_ORDER through; the missing blocks fail next
+    p = tmp_path / "edge.sq"
+    p.write_text(f"singquandle n={MAX_ORDER}\nstar:\n")
+    code, _, err = run(capsys, "validate", str(p))
+    assert code == 3
+    assert err == "error: missing block(s): R1, R2\n"
 
 
 def test_validate_unparseable(tmp_path, capsys):

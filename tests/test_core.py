@@ -1,4 +1,7 @@
+import inspect
 import random
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -247,6 +250,22 @@ def test_iso_shift_conjugate():
     assert result
 
 
+def test_iso_search_is_not_bounded_by_recursion_limit():
+    # every table of affine(100, 1, 0) is a projection, so all 100 elements
+    # share one profile and the search goes 100 assignments deep
+    q = affine_singquandle(100, 1, 0)
+    other = q.relabel(random.Random(5).sample(range(100), 100))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 50)
+    try:
+        result = find_isomorphism(q, other)
+    finally:
+        sys.setrecursionlimit(limit)
+    m = np.array(result.mapping)
+    for t1, t2 in ((q.star, other.star), (q.r1, other.r1), (q.r2, other.r2)):
+        assert np.array_equal(t2[m[:, None], m[None, :]], m[t1])
+
+
 def _unvalidated(star) -> FiniteSingquandle:
     # star only; R1 = R2 = the left projection, bar unused by the search
     star = np.array(star, dtype=np.int64)
@@ -277,6 +296,18 @@ def test_build_converts_and_derives_once(monkeypatch, xz8a):
     assert len(calls) == 1
     assert q == xz8a
     assert np.array_equal(q.bar, xz8a.bar)
+
+
+def test_validation_memory_is_quadratic():
+    # one n^3 int64 temporary at n=128 would be 16 MB on its own
+    q = affine_singquandle(128, 3, 2)
+    tracemalloc.start()
+    try:
+        assert validate_tables(q.star, q.r1, q.r2).ok
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
 
 
 def test_report_describe_mentions_axiom():

@@ -91,6 +91,29 @@ def test_malformed_table_files(mutant):
         parse_singquandle(mutant(TABLE_TEXT))
 
 
+def test_undeclared_entry_names_the_first_one():
+    # rows are read whole; the message still names the first undeclared
+    # entry in row-major order, here in the middle row of R1
+    text = """singquandle n=3
+labels: a b c
+star:
+a a a
+b b b
+c c c
+R1:
+a b c
+a x c
+a b y
+R2:
+a a a
+b b b
+c c c
+"""
+    with pytest.raises(ParseError) as info:
+        parse_singquandle(text)
+    assert str(info.value) == "entry 'x' in block R1 is not a declared label"
+
+
 def test_axiom_failure_raises_validation_error():
     bad = TABLE_TEXT.replace("star:\n0 0\n1 1", "star:\n1 1\n0 0")
     with pytest.raises(NotAQuandleError):
