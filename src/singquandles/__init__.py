@@ -1,10 +1,10 @@
 """Finite oriented singquandles and their link invariants.
 
-The package provides exhaustive axiom validation for finite singquandle
-tables, the singquandle polynomial and its subset refinement, and coloring
+The package provides exact axiom validation for finite singquandle tables,
+the singquandle polynomial and its subset refinement, and coloring
 invariants of singular links given either by generators and relations or by
-planar-diagram codes.  Hot loops run through numba when it is importable,
-with a pure numpy fallback (see :mod:`singquandles.kernels`).
+planar-diagram codes.  The hot loops are numpy kernels (see
+:mod:`singquandles.kernels`).
 """
 
 from .core import (
@@ -25,7 +25,6 @@ from .errors import (
 )
 from .fileformats import load_singquandle, parse_singquandle, render_singquandle
 from .formulas import BivariatePolyFormula, affine_singquandle, formula_singquandle, parse_formula
-from .kernels import active_backend, available_backends, set_backend
 from .polynomial import PhiInvariant, SqPolynomial, phi_from_images, quandle_restriction, sqp, ssqp
 from .presentation import (
     SingPresentation,
@@ -59,9 +58,7 @@ __all__ = [
     "ValidationReport",
     "Violation",
     "__version__",
-    "active_backend",
     "affine_singquandle",
-    "available_backends",
     "counting_invariant",
     "enumerate_homs",
     "eval_term",
@@ -83,7 +80,6 @@ __all__ = [
     "render_presentation",
     "render_singquandle",
     "render_term",
-    "set_backend",
     "sqp",
     "ssqp",
     "table_singquandle",

@@ -1,7 +1,8 @@
 """Command line interface.
 
 Inputs are file paths or ``corpus:<id>`` references.  Exit status: 0 on
-success, 2 for usage errors, 3 for unparseable input (including a file
+success, 2 for usage errors (including a ``gen --n`` outside
+1..``fileformats.MAX_ORDER``), 3 for unparseable input (including a file
 header whose order exceeds ``fileformats.MAX_ORDER``), 4 for validation
 failures (tables that are not singquandles, bad subsets, and the like).
 """
@@ -13,10 +14,10 @@ import sys
 from typing import Optional
 
 from . import corpus
-from .core import FiniteSingquandle, find_isomorphism, validate_tables
+from .core import FiniteSingquandle, find_isomorphism
 from .diagram import SingularPD, parse_pd, pd_to_presentation
 from .errors import ParseError, ValidationError
-from .fileformats import load_singquandle, render_singquandle
+from .fileformats import MAX_ORDER, load_singquandle, render_singquandle
 from .formulas import affine_singquandle
 from .polynomial import PhiInvariant, SqPolynomial, sqp, ssqp
 from .presentation import (
@@ -84,6 +85,18 @@ def _cmd_validate(args) -> int:
     q = _load_singquandle_arg(args.structure)
     print(f"valid singquandle of order {q.order}")
     return 0
+
+
+def _order(text: str) -> int:
+    """A ``gen --n`` value, checked against MAX_ORDER before any table exists."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer order in 1..{MAX_ORDER}") from None
+    if not 1 <= n <= MAX_ORDER:
+        raise argparse.ArgumentTypeError(
+            f"order {n} is outside 1..{MAX_ORDER}, the maximum order (fileformats.MAX_ORDER)")
+    return n
 
 
 def _cmd_gen(args) -> int:
@@ -179,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a structure from a named family")
     p.add_argument("family", help="family name; 'affine'")
-    p.add_argument("--n", type=int, required=True, help="order (modulus)")
+    p.add_argument("--n", type=_order, required=True, help=f"order (modulus), 1..{MAX_ORDER}")
     p.add_argument("--t", type=int, required=True, help="star parameter, invertible mod n")
     p.add_argument("--s", type=int, required=True, help="R1 parameter")
     p.add_argument("-o", "--output", help="write to a file instead of stdout")

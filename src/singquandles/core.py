@@ -5,7 +5,7 @@ tables: ``star`` (a quandle operation), ``r1`` and ``r2`` (the two
 singular-crossing operations).  ``bar``, the right inverse of ``star``,
 is always derived, never supplied.
 
-Validation is exhaustive.  The quandle axioms:
+Validation is exact.  The quandle axioms:
 
     (i)   a*a == a
     (ii)  for all b, z there is exactly one a with a*b == z
@@ -19,6 +19,14 @@ for bar):
     3. (b/R1(a,c))*a == (b*R2(a,c))/c
     4. R2(a,b)       == R1(b, a*b)
     5. R1(a,b)*R2(a,b) == R2(b, a*b)
+
+Validation does not visit all n^3 triples when it can avoid it.  It takes
+a generating set S of (X, *), checks 4 and 5 on all pairs, proves (iii),
+1 and 2 by checking that each x -> x*s with s in S preserves star and R1,
+and proves 3 at one element of each Inn-orbit (see
+:mod:`singquandles.kernels`).  When that proof fails it falls back to the
+full scan, which also supplies every violation witness.  A structure with
+many Inn-orbits, such as the trivial star a*b == a, still costs n^3.
 
 Elements may carry display labels (defaults are the decimal residues).
 All tables are immutable after construction; every operation here is a
@@ -125,13 +133,15 @@ def _validate(star, r1, r2, n: int):
     r2 = _as_table(r2, n, "R2")
 
     violations: list[Violation] = []
-    q_bad = kernels.quandle_violations(star, MAX_VIOLATIONS)
+    gens = kernels.generating_set(star)
+    q_bad = kernels.quandle_violations(star, MAX_VIOLATIONS, gens)
     for code, witness in _rows(q_bad):
         violations.append(Violation(_QUANDLE_AXIOMS[code], witness))
     bar = None
     if not any(v.axiom == "right-invertibility" for v in violations):
         bar = derive_bar(star)
-        s_bad = kernels.sing_violations(star, bar, r1, r2, MAX_VIOLATIONS)
+        s_bad = kernels.sing_violations(star, bar, r1, r2, MAX_VIOLATIONS,
+                                        None if violations else gens)
         for code, witness in _rows(s_bad):
             violations.append(Violation(_SING_AXIOMS[code], witness))
 
@@ -141,7 +151,7 @@ def _validate(star, r1, r2, n: int):
 
 
 def validate_tables(star, r1, r2, order: Optional[int] = None) -> ValidationReport:
-    """Exhaustive check of all axioms; collects violations up to MAX_VIOLATIONS."""
+    """Exact check of all axioms; collects violations up to MAX_VIOLATIONS."""
     n = order if order is not None else len(star)
     return _validate(star, r1, r2, n)[0]
 

@@ -1,17 +1,30 @@
-"""Backend-switched kernels for the two hot loops.
+"""Integer-table kernels for the two hot loops: axiom validation and
+coloring enumeration.  numpy is the only implementation.
 
-Everything here is exhaustive integer-table work: axiom validation scans all
-n^3 triples, coloring enumeration runs a compiled search plan that ranges
-over the free generators only and derives or checks everything else.
-Both come in two interchangeable implementations:
+Validation is an exact proof that runs in O(|S| n^2 + k n^2) for a
+generating set S of (X, *) and k Inn-orbits, with the slab scan of all n^3
+triples as the fallback that finds the witnesses.  Write rho_s for the map
+x -> x*s.  Self-distributivity at (a, b, s) says that rho_s is a
+*-homomorphism, and the first two compatibility identities at b say that
+rho_b preserves R1 and R2.  When rho_c is a bijective homomorphism,
+rho_{b*c} = rho_c rho_b rho_c^-1 (Joyce, JPAA 1982), so the elements whose
+rho is an automorphism of (X, *, R1, R2) are closed under *, and checking
+the rho_s for s in S proves axiom (iii) and identities 1 and 2 for every
+element.  Identities 4 and 5 are n^2 checks that run first.  Identity 4
+makes R2(a, b) = R1(b, a*b), so a rho_s that preserves star and R1 also
+preserves R2, and one n x n comparison per s and table covers both.
+Identity 3 is then invariant under the diagonal action of Inn(X), which
+the rho_s generate, so one n x n slab per Inn-orbit proves it.
+:func:`generating_set` finds S greedily.  The worst case stays n^3: a star
+with many Inn-orbits, such as the trivial star x*y = x, where |S| = n and
+every orbit is one element.
 
-* ``numba``: @njit(cache=True) nested loops, the default when numba imports
-* ``numpy``: vectorized equivalents with no compilation cost
-
-Select with the environment variable ``SINGQUANDLES_BACKEND=numba|numpy``
-(read once, lazily) or programmatically with :func:`set_backend`.  The two
-backends produce bit-identical outputs: violations in the same deterministic
-order, colorings in the same lexicographic order.
+When a step of the proof fails, the kernels run the full scan, so the
+reported rows never depend on the proof.  The scans of the n^3 identities
+run in slabs over ``a``: one n x n block per identity per step, built from
+row gathers and flat ``take`` on the n x n tables, so memory stays O(n^2).
+Each identity reads its slabs in (a, b, c) order and stops once it has
+``cap`` rows.
 
 Violation rows are ``[code, a, b, c]`` with unused slots set to -1; the
 ``cap`` argument bounds the rows reported per axiom or identity, so a
@@ -20,11 +33,6 @@ Quandle codes: 0 idempotence (witness a), 1 right-invertibility (witness
 column y and value z with preimage count != 1), 2 self-distributivity
 (witness a, b, c).  Singular codes 1..5 follow the five compatibility
 identities, witnesses (a, b, c) or (a, b) for the pair identities 4 and 5.
-
-The numpy scans of the n^3 identities run in slabs over ``a``: one n x n
-block per identity per step, built from row gathers and flat ``take`` on
-the n x n tables, so memory stays O(n^2).  Each identity reads its slabs
-in (a, b, c) order and stops once it has ``cap`` rows.
 
 Coloring programs are postorder instruction arrays over int64 tables:
 opcode 0 pushes generator ``arg``, opcodes 1..4 pop two values and apply
@@ -37,14 +45,10 @@ generator ``target``, STEP_DERIVE sets it to the value of program
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 __all__ = [
-    "active_backend",
-    "available_backends",
-    "set_backend",
+    "generating_set",
     "quandle_violations",
     "sing_violations",
     "enumerate_colorings",
@@ -53,9 +57,7 @@ __all__ = [
 OP_GEN, OP_STAR, OP_BAR, OP_R1, OP_R2 = 0, 1, 2, 3, 4
 STEP_FREE, STEP_DERIVE, STEP_CHECK = 0, 1, 2
 
-
-# ---------------------------------------------------------------------------
-# numpy backend
+_NO_ROWS = np.empty((0, 4), dtype=np.int64)
 
 
 def _pack(code: int, *cols) -> np.ndarray:
@@ -93,10 +95,82 @@ def _slab_rows(code: int, n: int, cap: int, block) -> np.ndarray:
             b, c = np.divmod(bad, n)
             found.append(_pack(code, np.full_like(b, a), b, c))
             count += bad.size
-    return np.concatenate(found)[:cap] if found else np.empty((0, 4), dtype=np.int64)
+    return np.concatenate(found)[:cap] if found else _NO_ROWS
 
 
-def _quandle_violations_np(star: np.ndarray, cap: int) -> np.ndarray:
+def _fresh(values: np.ndarray, seen: np.ndarray) -> np.ndarray:
+    """The distinct entries of values not yet in the mask seen, ascending,
+    now added to it.  A mask over the n elements does what ``np.unique``
+    would, without its sort."""
+    hit = np.zeros(len(seen), dtype=bool)
+    hit[values] = True
+    hit &= ~seen
+    seen |= hit
+    return np.flatnonzero(hit)
+
+
+def generating_set(star) -> np.ndarray:
+    """A generating set S of (X, *), ascending.  Greedy: the lowest element
+    outside the *-closure of S so far joins S, then the closure grows
+    semi-naively, multiplying only the new elements with the members, so
+    each product is taken at most twice and the cost is O(n^2)."""
+    star = np.asarray(star)
+    n = star.shape[0]
+    inside = np.zeros(n, dtype=bool)
+    members = np.empty(0, dtype=np.int64)
+    gens = []
+    for g in range(n):
+        if inside[g]:
+            continue
+        gens.append(g)
+        inside[g] = True
+        new = np.array([g])
+        while new.size:
+            members = np.concatenate([members, new])
+            new = _fresh(np.concatenate([star[np.ix_(new, members)].ravel(),
+                                         star[np.ix_(members, new)].ravel()]), inside)
+    return np.array(gens, dtype=np.int64)
+
+
+def _moving(star: np.ndarray, gens) -> np.ndarray:
+    """Rows rho_s = star[:, s] for the s in gens whose rho_s is not the
+    identity; an identity map preserves every table."""
+    rhos = np.ascontiguousarray(star[:, gens].T)
+    return rhos[np.any(rhos != np.arange(star.shape[0]), axis=1)]
+
+
+def _preserved(rhos: np.ndarray, table: np.ndarray) -> bool:
+    """Whether every row rho of rhos preserves table:
+    table[rho(x), rho(y)] == rho(table[x, y]) for all x, y."""
+    return all(np.array_equal(table[np.ix_(rho, rho)], rho.take(table)) for rho in rhos)
+
+
+def _orbit_reps(rhos: np.ndarray, n: int):
+    """The least element of each orbit of the group that the permutations
+    in rhos generate.  The inverse of a permutation of a finite set is one
+    of its powers, so the images alone reach every orbit."""
+    if not len(rhos):
+        return range(n)
+    seen = np.zeros(n, dtype=bool)
+    reps = []
+    for x in range(n):
+        if seen[x]:
+            continue
+        reps.append(x)
+        seen[x] = True
+        frontier = np.array([x])
+        while frontier.size:
+            frontier = _fresh(rhos[:, frontier].ravel(), seen)
+    return reps
+
+
+def quandle_violations(star: np.ndarray, cap: int, gens=None) -> np.ndarray:
+    """Rows of the quandle axioms, at most cap per axiom.
+
+    ``gens``, a generating set of (X, *) such as :func:`generating_set`
+    returns, lets a right-invertible star prove self-distributivity with
+    one n x n comparison per moving rho_s; without it, or when that proof
+    fails, the slab scan runs."""
     star = _narrow(star)[0]
     n = star.shape[0]
     idx = np.arange(n, dtype=np.int64)
@@ -109,22 +183,47 @@ def _quandle_violations_np(star: np.ndarray, cap: int) -> np.ndarray:
     # counts[y, z] = number of x with x*y = z; every count must be exactly 1
     counts = np.bincount(flat.ravel(), minlength=n * n)
     inv = _pack(1, *np.divmod(np.flatnonzero(counts != 1)[:cap], n))
+    del counts
 
     def distributive(a):  # (a*b)*c == (a*c)*(b*c)
         m = star[star[a]]  # m[b, c] = (a*b)*c
         return m, m.ravel().take(flat)
 
-    return np.concatenate([idem, inv, _slab_rows(2, n, cap, distributive)])
+    if gens is not None and not inv.size and _preserved(_moving(star, gens), star):
+        dist = _NO_ROWS
+    else:
+        dist = _slab_rows(2, n, cap, distributive)
+    return np.concatenate([idem, inv, dist])
 
 
-def _sing_violations_np(star, bar, r1, r2, cap: int) -> np.ndarray:
+def sing_violations(star, bar, r1, r2, cap: int, gens=None) -> np.ndarray:
+    """Rows of the five compatibility identities, at most cap per identity;
+    bar must be the right inverse of star.
+
+    ``gens`` may be given only for a star that satisfies the quandle axioms
+    (quandle_violations found no row), with the generating set it was
+    checked through.  Identities 4 and 5 are then checked, then that each
+    moving rho_s preserves R1 (and so R2), then identity 3 at one element
+    per Inn-orbit; without gens, or when a step fails, the slab scan runs."""
     star, bar, r1, r2 = _narrow(star, bar, r1, r2)
     n = star.shape[0]
     idx = np.arange(n, dtype=np.int64)
+
+    # 4: R2(a,b) == R1(b, a*b) and 5: R1(a,b)*R2(a,b) == R2(b, a*b), from
+    # n x n int64 flat indices held one at a time
+    flat = star + idx * n  # flat[a, b] = b*n + a*b indexes cell (b, a*b)
+    four = _pack(4, *np.divmod(np.flatnonzero(r2 != r1.ravel().take(flat))[:cap], n))
+    rhs = r2.ravel().take(flat)
+    del flat
+    pair = r1.astype(np.int64)
+    pair *= n
+    pair += r2             # pair[a, b] indexes cell (R1(a,b), R2(a,b))
+    five = _pack(5, *np.divmod(np.flatnonzero(star.ravel().take(pair) != rhs)[:cap], n))
+    del pair, rhs
+
     star_t = np.ascontiguousarray(star.T)  # star_t[b, c] = c*b
     bar_t = np.ascontiguousarray(bar.T)    # bar_t[b, c] = c/b
     row_b = idx[:, None] * n               # flat offset of row b
-    star_n = star.astype(np.int64) * n     # flat offset of row b*c
 
     def one(a):  # R1(a/b, c)*b == R1(a, c*b)
         return star_t.ravel().take(r1[bar[a]] + row_b), r1[a].take(star_t)
@@ -134,23 +233,18 @@ def _sing_violations_np(star, bar, r1, r2, cap: int) -> np.ndarray:
 
     def three(a):  # (b/R1(a,c))*a == (b*R2(a,c))/c
         return (star_t[a].take(bar.take(r1[a], axis=1)),
-                bar.ravel().take(star_n.take(r2[a], axis=1) + idx))
+                bar_t.ravel().take(star.take(r2[a], axis=1) + row_b.T))
+
+    if gens is not None and not four.size and not five.size:
+        rhos = _moving(star, gens)
+        if _preserved(rhos, r1) and all(np.array_equal(*three(a)) for a in _orbit_reps(rhos, n)):
+            return np.concatenate([four, five])
 
     parts = [_slab_rows(code, n, cap, block) for code, block in ((1, one), (2, two), (3, three))]
-
-    # 4: R2(a,b) == R1(b, a*b)
-    rhs = r1[idx[None, :], star]
-    parts.append(_pack(4, *np.divmod(np.flatnonzero(r2 != rhs)[:cap], n)))
-
-    # 5: R1(a,b)*R2(a,b) == R2(b, a*b)
-    lhs = star[r1, r2]
-    rhs = r2[idx[None, :], star]
-    parts.append(_pack(5, *np.divmod(np.flatnonzero(lhs != rhs)[:cap], n)))
-
-    return np.concatenate(parts)
+    return np.concatenate(parts + [four, five])
 
 
-def _eval_prog_np(code, start, end, tables, cols):
+def _eval_prog(code, start, end, tables, cols):
     """Evaluate one program over every frontier row at once."""
     stack = []
     for op, arg in code[start:end].tolist():
@@ -175,7 +269,7 @@ def _share(cols: dict, fn) -> dict:
     return out
 
 
-def _enumerate_np(n, g, star, bar, r1, r2, code, steps, max_stack):
+def _enumerate(n, g, star, bar, r1, r2, code, steps, max_stack):
     # breadth-first over the plan: the frontier keeps one column per bound
     # generator, grows n-fold only at a free step and is pruned at each check
     tables = (star, bar, r1, r2)
@@ -188,10 +282,10 @@ def _enumerate_np(n, g, star, bar, r1, r2, code, steps, max_stack):
             cols[target] = np.tile(vals, m)
             m *= n
         elif kind == STEP_DERIVE:
-            cols[target] = _eval_prog_np(code, s0, e0, tables, cols)
+            cols[target] = _eval_prog(code, s0, e0, tables, cols)
         else:
-            keep = (_eval_prog_np(code, s0, e0, tables, cols)
-                    == _eval_prog_np(code, s1, e1, tables, cols))
+            keep = (_eval_prog(code, s0, e0, tables, cols)
+                    == _eval_prog(code, s1, e1, tables, cols))
             cols = _share(cols, lambda c: c[keep])
             m = int(np.count_nonzero(keep))
             if m == 0:
@@ -202,231 +296,21 @@ def _enumerate_np(n, g, star, bar, r1, r2, code, steps, max_stack):
     return out
 
 
-_BACKENDS: dict[str, dict] = {
-    "numpy": {
-        "quandle": _quandle_violations_np,
-        "sing": _sing_violations_np,
-        "enum": _enumerate_np,
-    }
-}
-
-
-# ---------------------------------------------------------------------------
-# numba backend
-
-try:
-    from numba import njit
-
-    @njit(cache=True)
-    def _quandle_violations_nb(star, cap):  # pragma: no cover - exercised via dispatch
-        n = star.shape[0]
-        out = np.empty((3 * cap, 4), dtype=np.int64)
-        k = 0
-        seen = 0
-        for a in range(n):
-            if star[a, a] != a and seen < cap:
-                out[k, 0] = 0
-                out[k, 1] = a
-                out[k, 2] = -1
-                out[k, 3] = -1
-                k += 1
-                seen += 1
-        seen = 0
-        counts = np.zeros(star.shape[0], dtype=np.int64)
-        for y in range(n):
-            for z in range(n):
-                counts[z] = 0
-            for x in range(n):
-                counts[star[x, y]] += 1
-            for z in range(n):
-                if counts[z] != 1 and seen < cap:
-                    out[k, 0] = 1
-                    out[k, 1] = y
-                    out[k, 2] = z
-                    out[k, 3] = -1
-                    k += 1
-                    seen += 1
-        seen = 0
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    if star[star[a, b], c] != star[star[a, c], star[b, c]] and seen < cap:
-                        out[k, 0] = 2
-                        out[k, 1] = a
-                        out[k, 2] = b
-                        out[k, 3] = c
-                        k += 1
-                        seen += 1
-        return out[:k].copy()
-
-    @njit(cache=True)
-    def _sing_violations_nb(star, bar, r1, r2, cap):  # pragma: no cover
-        n = star.shape[0]
-        out = np.empty((5 * cap, 4), dtype=np.int64)
-        k = 0
-        for eq in range(1, 4):
-            seen = 0
-            for a in range(n):
-                for b in range(n):
-                    for c in range(n):
-                        if eq == 1:
-                            bad = star[r1[bar[a, b], c], b] != r1[a, star[c, b]]
-                        elif eq == 2:
-                            bad = r2[bar[a, b], c] != bar[r2[a, star[c, b]], b]
-                        else:
-                            bad = star[bar[b, r1[a, c]], a] != bar[star[b, r2[a, c]], c]
-                        if bad and seen < cap:
-                            out[k, 0] = eq
-                            out[k, 1] = a
-                            out[k, 2] = b
-                            out[k, 3] = c
-                            k += 1
-                            seen += 1
-        for eq in range(4, 6):
-            seen = 0
-            for a in range(n):
-                for b in range(n):
-                    if eq == 4:
-                        bad = r2[a, b] != r1[b, star[a, b]]
-                    else:
-                        bad = star[r1[a, b], r2[a, b]] != r2[b, star[a, b]]
-                    if bad and seen < cap:
-                        out[k, 0] = eq
-                        out[k, 1] = a
-                        out[k, 2] = b
-                        out[k, 3] = -1
-                        k += 1
-                        seen += 1
-        return out[:k].copy()
-
-    @njit(cache=True)
-    def _eval_prog_nb(code, start, end, star, bar, r1, r2, vals, stack):  # pragma: no cover
-        sp = 0
-        for i in range(start, end):
-            op = code[i, 0]
-            if op == OP_GEN:
-                stack[sp] = vals[code[i, 1]]
-                sp += 1
-            else:
-                b = stack[sp - 1]
-                a = stack[sp - 2]
-                sp -= 1
-                if op == OP_STAR:
-                    stack[sp - 1] = star[a, b]
-                elif op == OP_BAR:
-                    stack[sp - 1] = bar[a, b]
-                elif op == OP_R1:
-                    stack[sp - 1] = r1[a, b]
-                else:
-                    stack[sp - 1] = r2[a, b]
-        return stack[0]
-
-    @njit(cache=True)
-    def _enumerate_nb(n, g, star, bar, r1, r2, code, steps, max_stack):  # pragma: no cover
-        # depth-first over the plan; a failed check or an exhausted free
-        # generator backtracks to the previous free step
-        vals = np.zeros(g, dtype=np.int64)
-        stack = np.zeros(max_stack, dtype=np.int64)
-        cap = 64
-        out = np.empty((cap, g), dtype=np.int64)
-        m = 0
-        k = 0
-        forward = True
-        while True:
-            if forward:
-                if k == steps.shape[0]:
-                    if m == cap:
-                        cap *= 2
-                        grown = np.empty((cap, g), dtype=np.int64)
-                        grown[:m] = out[:m]
-                        out = grown
-                    out[m] = vals
-                    m += 1
-                    forward = False
-                    k -= 1
-                    continue
-                kind = steps[k, 0]
-                if kind == STEP_FREE:
-                    vals[steps[k, 1]] = 0
-                elif kind == STEP_DERIVE:
-                    vals[steps[k, 1]] = _eval_prog_nb(code, steps[k, 2], steps[k, 3],
-                                                      star, bar, r1, r2, vals, stack)
-                else:
-                    lv = _eval_prog_nb(code, steps[k, 2], steps[k, 3], star, bar, r1, r2, vals, stack)
-                    rv = _eval_prog_nb(code, steps[k, 4], steps[k, 5], star, bar, r1, r2, vals, stack)
-                    if lv != rv:
-                        forward = False
-                        continue
-                k += 1
-            else:
-                while k >= 0 and steps[k, 0] != STEP_FREE:
-                    k -= 1
-                if k < 0:
-                    break
-                t = steps[k, 1]
-                vals[t] += 1
-                if vals[t] == n:
-                    k -= 1
-                else:
-                    k += 1
-                    forward = True
-        return out[:m].copy()
-
-    _BACKENDS["numba"] = {
-        "quandle": _quandle_violations_nb,
-        "sing": _sing_violations_nb,
-        "enum": _enumerate_nb,
-    }
-except ImportError:  # numba genuinely absent: numpy path carries everything
-    pass
-
-
-# ---------------------------------------------------------------------------
-# selection
-
-_active: str | None = None
-
-
-def available_backends() -> tuple[str, ...]:
-    return tuple(sorted(_BACKENDS))
-
-
-def active_backend() -> str:
-    """Resolve the backend: explicit set_backend() > env var > numba if present."""
-    global _active
-    if _active is None:
-        requested = os.environ.get("SINGQUANDLES_BACKEND", "").strip().lower()
-        if requested:
-            if requested not in _BACKENDS:
-                raise ValueError(
-                    f"SINGQUANDLES_BACKEND={requested!r}; available: {available_backends()}")
-            _active = requested
-        else:
-            _active = "numba" if "numba" in _BACKENDS else "numpy"
-    return _active
-
-
-def set_backend(name: str) -> None:
-    global _active
-    if name not in _BACKENDS:
-        raise ValueError(f"unknown backend {name!r}; available: {available_backends()}")
-    _active = name
-
-
-def quandle_violations(star: np.ndarray, cap: int) -> np.ndarray:
-    return _BACKENDS[active_backend()]["quandle"](star, cap)
-
-
-def sing_violations(star, bar, r1, r2, cap: int) -> np.ndarray:
-    return _BACKENDS[active_backend()]["sing"](star, bar, r1, r2, cap)
-
-
 def enumerate_colorings(n, g, star, bar, r1, r2, code, steps, max_stack) -> np.ndarray:
     """All satisfying assignments, rows in lexicographic order, shape (m, g).
 
-    The backends return rows in the order of their search; one sort by the
+    The search returns rows in the order of its plan; one sort by the
     columns in generator order makes the result independent of the plan.
     """
-    rows = _BACKENDS[active_backend()]["enum"](
-        n, g, star, bar, r1, r2, code, steps, max_stack)
+    rows = _enumerate(n, g, star, bar, r1, r2, code, steps, max_stack)
     return rows[np.lexsort(rows.T[::-1])]
+
+
+def available_backends() -> tuple[str, ...]:
+    """The kernel implementations: numpy alone.  This and
+    :func:`active_backend` remain for the benchmark's run header."""
+    return ("numpy",)
+
+
+def active_backend() -> str:
+    return "numpy"

@@ -1,6 +1,6 @@
 import pytest
 
-from singquandles import corpus, kernels
+from singquandles import corpus
 from singquandles.core import FiniteSingquandle
 
 
@@ -24,13 +24,11 @@ def xz8b():
     return corpus.load("X-Z8-b")
 
 
-@pytest.fixture(params=kernels.available_backends())
+@pytest.fixture(params=["numpy"])
 def backend(request):
-    """Run the test once per compiled backend."""
-    before = kernels.active_backend()
-    kernels.set_backend(request.param)
-    yield request.param
-    kernels.set_backend(before)
+    """The kernels' implementation, numpy alone.  A one-value parameter,
+    so the ids of the tests that take it keep their ``numpy`` part."""
+    return request.param
 
 
 @pytest.fixture

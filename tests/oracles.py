@@ -1,7 +1,7 @@
 """Slow reference implementations used to cross-check the package.
 
 Everything here is written with plain loops and dicts on purpose.  None of
-it shares code with the numpy/numba kernels, so agreement between the two
+it shares code with the numpy kernels, so agreement between the two
 is meaningful evidence rather than a tautology.
 """
 
@@ -172,3 +172,13 @@ def violation_rows(star, bar, r1, r2, cap):
         return [row for rows in groups.values() for row in rows[:cap]]
 
     return capped(quandle), capped(singular)
+
+
+def star_closure(star, seed) -> set[int]:
+    """Smallest set containing seed and closed under star alone."""
+    members = set(seed)
+    while True:
+        new = {star[a][b] for a in members for b in members}
+        if new <= members:
+            return members
+        members |= new

@@ -1,22 +1,15 @@
-import os
+import itertools
 import random
-import subprocess
-import sys
 
 import numpy as np
-import pytest
 
-import singquandles
 from singquandles import corpus, kernels
 from singquandles.core import derive_bar
 from singquandles.errors import NotRightInvertibleError
 from singquandles.formulas import affine_singquandle
-from singquandles.presentation import _compile, enumerate_homs
+from singquandles.polynomial import sqp
 
-from oracles import shift_singquandle, violation_rows
-
-HAVE_BOTH = set(kernels.available_backends()) >= {"numba", "numpy"}
-needs_both = pytest.mark.skipif(not HAVE_BOTH, reason="numba not importable")
+from oracles import quandle_ok, shift_singquandle, star_closure, violation_rows
 
 
 def _random_tables(rng, n):
@@ -43,99 +36,137 @@ def _random_tables(rng, n):
     return star, r1, r2
 
 
+def _assert_rows_match_oracle(star, r1, r2, caps=(1, 3, 100)) -> bool:
+    """The kernels' rows equal the oracle's, row for row (order within each
+    code and the per-code cap), both by the slab scan alone and with the
+    generating-set proof.  Returns whether star is right-invertible."""
+    try:
+        bar = derive_bar(star)
+    except NotRightInvertibleError:
+        bar = None
+    gens = kernels.generating_set(star)
+    for cap in caps:
+        quandle, singular = ([list(r) for r in rows]
+                             for rows in violation_rows(star, bar, r1, r2, cap))
+        assert kernels.quandle_violations(star, cap).tolist() == quandle
+        assert kernels.quandle_violations(star, cap, gens).tolist() == quandle
+        if bar is not None:
+            assert kernels.sing_violations(star, bar, r1, r2, cap).tolist() == singular
+            if not quandle:  # the proof's precondition
+                assert kernels.sing_violations(star, bar, r1, r2, cap, gens).tolist() == singular
+    return bar is not None
+
+
 def test_violation_rows_match_oracle(backend):
-    # exact witnesses, row for row: order within each code and the per-code cap
     rng = random.Random(11)
     singular_tables = 0
     for _ in range(120):
-        star, r1, r2 = _random_tables(rng, rng.randrange(2, 9))
-        try:
-            bar = derive_bar(star)
-        except NotRightInvertibleError:
-            bar = None
-        singular_tables += bar is not None
-        for cap in (1, 3, 100):
-            quandle, singular = violation_rows(star, bar, r1, r2, cap)
-            assert kernels.quandle_violations(star, cap).tolist() == [list(r) for r in quandle]
-            if bar is not None:
-                got = kernels.sing_violations(star, bar, r1, r2, cap).tolist()
-                assert got == [list(r) for r in singular]
+        singular_tables += _assert_rows_match_oracle(*_random_tables(rng, rng.randrange(2, 9)))
     assert singular_tables >= 60
 
 
-@needs_both
-def test_quandle_kernel_agreement():
-    rng = random.Random(2)
-    for _ in range(40):
-        n = rng.randrange(2, 9)
-        star, _, _ = _random_tables(rng, n)
-        a = kernels._BACKENDS["numpy"]["quandle"](star, 100)
-        b = kernels._BACKENDS["numba"]["quandle"](star.astype(np.int64), 100)
-        assert np.array_equal(a, b)
+def _order_3_quandle_stars() -> list[np.ndarray]:
+    """The 5 labelled quandle stars of order 3.  Idempotence and right
+    invertibility make column b a permutation that fixes b: the identity or
+    the swap of the other two elements."""
+    stars = []
+    for swaps in itertools.product((False, True), repeat=3):
+        star = np.repeat(np.arange(3)[:, None], 3, axis=1)  # star[a, b] = a
+        for b in np.flatnonzero(swaps):
+            x, y = (v for v in range(3) if v != b)
+            star[[x, y], b] = y, x
+        if quandle_ok(star.tolist()):
+            stars.append(star)
+    return stars
 
 
-@needs_both
-def test_sing_kernel_agreement():
-    rng = random.Random(4)
-    for _ in range(40):
-        n = rng.randrange(2, 9)
-        star, r1, r2 = _random_tables(rng, n)
-        try:
-            bar = derive_bar(star)
-        except Exception:
-            continue  # kernel contract assumes right-invertible star
-        args = [x.astype(np.int64) for x in (star, bar, r1, r2)]
-        a = kernels._BACKENDS["numpy"]["sing"](*args, 100)
-        b = kernels._BACKENDS["numba"]["sing"](*args, 100)
-        assert np.array_equal(a, b)
+def test_proof_matches_oracle_on_order_3_quandles():
+    # a seeded sample of all R1 tables and of those that every rho_s
+    # preserves, where the proof can pass; R2 is forced by identity 4
+    stars = _order_3_quandle_stars()
+    assert len(stars) == 5
+    idx = np.arange(3)
+    every_r1 = np.array(list(itertools.product(range(3), repeat=9))).reshape(-1, 3, 3)
+    rng = np.random.default_rng(3)
+    valid = 0
+    for star in stars:
+        preserved = np.ones(len(every_r1), dtype=bool)
+        for rho in star.T:
+            preserved &= (every_r1[:, rho][:, :, rho] == rho[every_r1]).all(axis=(1, 2))
+        kept = np.flatnonzero(preserved)
+        sample = np.concatenate([rng.choice(kept, min(len(kept), 120), replace=False),
+                                 rng.choice(len(every_r1), 120, replace=False)])
+        for r1 in every_r1[sample]:
+            r2 = r1[idx[None, :], star]  # R2(a, b) = R1(b, a*b)
+            _assert_rows_match_oracle(star, r1, r2, caps=(100,))
+            valid += not violation_rows(star, derive_bar(star), r1, r2, 1)[1]
+    assert valid >= 100
 
 
-@needs_both
+def test_proof_catches_corruption_off_orbit_representatives():
+    # identity 3 is checked only at one element per Inn-orbit, so a broken
+    # cell in any other row must be caught by another step of the proof
+    rng = random.Random(5)
+    for n, t, s in ((8, 3, 2), (9, 2, 4), (12, 5, 1), (16, 5, 3)):
+        q = affine_singquandle(n, t, s)
+        rhos = kernels._moving(q.star, kernels.generating_set(q.star))
+        reps = set(kernels._orbit_reps(rhos, n))
+        assert len(reps) == np.gcd(t - 1, n)  # the Inn-orbits are the cosets of (1-t)Z_n
+        others = [a for a in range(n) if a not in reps]
+        for which in range(3):
+            for _ in range(3):
+                tables = [q.star.copy(), q.r1.copy(), q.r2.copy()]
+                a, b = rng.choice(others), rng.randrange(n)
+                tables[which][a, b] = (tables[which][a, b] + 1 + rng.randrange(n - 1)) % n
+                _assert_rows_match_oracle(*tables, caps=(100,))
+
+
+def test_proof_checks_every_orbit_and_right_invertibility():
+    # R1 is preserved by every rho_s and identities 1, 2, 4 and 5 hold, but
+    # identity 3 fails, though never at a = 0, the first of the orbit
+    # representatives 0, 1 and 3
+    star = np.array([[0, 0, 0, 0], [1, 1, 1, 2], [2, 2, 2, 1], [3, 3, 3, 3]])
+    r1 = np.zeros((4, 4), dtype=np.int64)
+    r1[3, 0] = 3
+    r2 = r1[np.arange(4)[None, :], star]  # R2(a, b) = R1(b, a*b)
+    _assert_rows_match_oracle(star, r1, r2)
+    rows = kernels.sing_violations(star, derive_bar(star), r1, r2, 100)
+    assert set(rows[:, 0]) == {3} and 0 not in rows[:, 1]
+    # not right-invertible, yet the one moving rho_s preserves star
+    star = np.array([[0, 0, 0], [1, 2, 1], [2, 0, 0]])
+    assert kernels._preserved(kernels._moving(star, kernels.generating_set(star)), star)
+    _assert_rows_match_oracle(star, np.zeros_like(star), np.zeros_like(star))
+
+
+def test_proof_matches_oracle_on_shift_structures():
+    # trivial star: every rho_s is the identity and every orbit one element
+    for n in range(1, 7):
+        for s in range(n):
+            q = shift_singquandle(n, s)
+            _assert_rows_match_oracle(q.star, q.r1, q.r2)
+
+
+def test_generating_set_generates():
+    q = affine_singquandle(256, 3, 2).relabel(np.random.default_rng(0).permutation(256))
+    gens = kernels.generating_set(q.star).tolist()
+    assert len(gens) <= 3
+    assert star_closure(q.star.tolist(), gens) == set(range(256))
+    for cid in ("X-Z4", "Y-Z4", "X-Z8-a", "X-Z8-b"):
+        star = corpus.load(cid).star
+        assert star_closure(star.tolist(), kernels.generating_set(star).tolist()) == set(range(len(star)))
+
+
+def test_generating_set_of_trivial_star_is_everything():
+    q = affine_singquandle(64, 1, 0)  # a*b = a
+    assert kernels.generating_set(q.star).tolist() == list(range(64))
+
+
 def test_violation_cap_is_per_axiom():
     star = np.zeros((6, 6), dtype=np.int64)  # wildly invalid
     for cap in (1, 5, 100):
-        outs = []
-        for name in ("numpy", "numba"):
-            out = kernels._BACKENDS[name]["quandle"](star, cap)
-            outs.append(out)
-            for code in (0, 1, 2):
-                assert np.count_nonzero(out[:, 0] == code) <= cap
-        assert np.array_equal(outs[0], outs[1])
-
-
-@needs_both
-@pytest.mark.parametrize("link", ("1_1l", "6_11l", "K1", "K2"))
-def test_enumeration_agreement_on_corpus(link):
-    pres = corpus.load(link)
-    code, steps, max_stack = _compile(pres)
-    for target in ("X-Z4", "X-Z8-a", "X-Z8-b"):
-        q = corpus.load(target)
-        rows = []
-        for name in ("numpy", "numba"):
-            rows.append(kernels._BACKENDS[name]["enum"](
-                q.order, len(pres.generators), q.star, q.bar, q.r1, q.r2,
-                code, steps, max_stack))
-        assert np.array_equal(rows[0], rows[1])
-
-
-@needs_both
-def test_enumeration_agreement_via_set_backend():
-    pres = corpus.load("6_11l")
-    q = corpus.load("X-Z8-a")
-    results = {}
-    before = kernels.active_backend()
-    try:
-        for name in ("numpy", "numba"):
-            kernels.set_backend(name)
-            results[name] = enumerate_homs(pres, q)
-    finally:
-        kernels.set_backend(before)
-    assert results["numpy"] == results["numba"]
-
-
-def test_set_backend_rejects_unknown():
-    with pytest.raises(ValueError):
-        kernels.set_backend("fortran")
+        out = kernels.quandle_violations(star, cap, kernels.generating_set(star))
+        for code in (0, 1, 2):
+            assert np.count_nonzero(out[:, 0] == code) <= cap
 
 
 def test_numpy_frontier_keeps_aliased_columns_shared():
@@ -149,34 +180,6 @@ def test_numpy_frontier_keeps_aliased_columns_shared():
     assert out[1].tolist() == [6, 8, 10]
 
 
-def _child_env(backend):
-    """The parent's environment, importing the same singquandles under test."""
-    pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(singquandles.__file__)))
-    inherited = os.environ.get("PYTHONPATH")
-    return {**os.environ,
-            "PYTHONPATH": os.pathsep.join(filter(None, (pkg_root, inherited))),
-            "SINGQUANDLES_BACKEND": backend}
-
-
-def test_env_var_selects_backend():
-    script = ("import singquandles.kernels as k; print(k.active_backend())")
-    out = subprocess.run([sys.executable, "-c", script],
-                         env=_child_env("numpy"), capture_output=True, text=True)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "numpy"
-
-
-def test_env_var_rejects_unknown():
-    script = ("import singquandles.kernels as k\n"
-              "try:\n    k.active_backend()\nexcept ValueError:\n    print('rejected')")
-    out = subprocess.run([sys.executable, "-c", script],
-                         env=_child_env("cuda"), capture_output=True, text=True)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "rejected"
-
-
-def test_results_identical_across_backends_full_pipeline(backend):
-    # the backend fixture swaps kernels; values must not move at all
+def test_full_pipeline_sqp_matches_corpus():
     q = corpus.load("X-Z8-a")
-    from singquandles.polynomial import sqp
     assert sqp(q).render() == corpus.expected()["X-Z8-a"]["sqp"]

@@ -103,6 +103,21 @@ def test_gen_rejects_noninvertible(capsys):
     assert code == 4
 
 
+@pytest.mark.parametrize("n", ["1000000", "0", str(MAX_ORDER + 1)])
+def test_gen_rejects_order_outside_range(capsys, n):
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "gen", "affine", "--n", n, "--t", "1", "--s", "0")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert out == ""
+    assert f"1..{MAX_ORDER}" in err
+    assert "Traceback" not in err
+    assert peak < 1 << 20
+
+
 def test_gen_unknown_family(capsys):
     assert run(capsys, "gen", "dihedral", "--n", "4", "--t", "1", "--s", "1")[0] == 3
 

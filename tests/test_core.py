@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from singquandles import core, corpus
+from singquandles import core, corpus, kernels
 from singquandles.core import (
     FiniteSingquandle,
     derive_bar,
@@ -25,7 +25,7 @@ from singquandles.errors import (
 )
 from singquandles.formulas import affine_singquandle
 
-from oracles import naive_closure, profile_of, quandle_ok, shift_singquandle, sing_ok
+from oracles import naive_closure, profile_of, quandle_ok, shift_singquandle, sing_ok, violation_rows
 
 ALL_SQ = ("X-Z4", "Y-Z4", "X-Z8-a", "X-Z8-b")
 
@@ -71,6 +71,19 @@ def test_validation_catches_random_corruption(backend):
         assert report.ok == oracle_ok
         # a single-cell edit can only break things, never fix them
         assert not report.ok
+
+
+def test_singular_rows_of_a_right_invertible_non_quandle():
+    # the generating-set proof assumes the quandle axioms: on this star it
+    # would pass, so validation must scan to find the singular rows
+    star = np.array([[0, 2, 0], [1, 1, 2], [2, 0, 1]])
+    r1 = np.array([[0, 0, 2], [1, 1, 1], [0, 2, 2]])
+    r2 = r1[np.arange(3)[None, :], star]
+    quandle, singular = violation_rows(star, derive_bar(star), r1, r2, core.MAX_VIOLATIONS)
+    assert quandle and singular
+    expected = [(f"singular-{code}", tuple(w for w in row if w != -1)) for code, *row in singular]
+    got = [tuple(v) for v in validate_tables(star, r1, r2).violations if v.axiom.startswith("singular")]
+    assert got == expected
 
 
 def test_violation_witnesses_are_real():
@@ -308,6 +321,25 @@ def test_validation_memory_is_quadratic():
     finally:
         tracemalloc.stop()
     assert peak < 8 << 20
+
+
+def test_validation_of_order_512_stays_under_16_mb():
+    q = affine_singquandle(512, 3, 2)
+    tracemalloc.start()
+    try:
+        assert validate_tables(q.star, q.r1, q.r2).ok
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20
+
+
+def test_build_takes_one_generating_set(monkeypatch, xz8a):
+    calls = []
+    orig = kernels.generating_set
+    monkeypatch.setattr(kernels, "generating_set", lambda star: calls.append(1) or orig(star))
+    assert table_singquandle(8, xz8a.star, xz8a.r1, xz8a.r2) == xz8a
+    assert len(calls) == 1
 
 
 def test_report_describe_mentions_axiom():
