@@ -127,7 +127,8 @@ def _rows(arr: np.ndarray) -> tuple[Violation, ...]:
 
 def _validate(star, r1, r2, n: int):
     """Convert and check the tables; returns the report, the converted star,
-    r1 and r2, and bar (None when star is not right-invertible)."""
+    r1 and r2, bar (None when star is not right-invertible) and the
+    generating set of (X, *) that the check went through."""
     star = _as_table(star, n, "star")
     r1 = _as_table(r1, n, "R1")
     r2 = _as_table(r2, n, "R2")
@@ -147,7 +148,7 @@ def _validate(star, r1, r2, n: int):
 
     violations = violations[:MAX_VIOLATIONS]
     report = ValidationReport(ok=not violations, order=n, violations=tuple(violations))
-    return report, star, r1, r2, bar
+    return report, star, r1, r2, bar, gens
 
 
 def validate_tables(star, r1, r2, order: Optional[int] = None) -> ValidationReport:
@@ -159,7 +160,10 @@ def validate_tables(star, r1, r2, order: Optional[int] = None) -> ValidationRepo
 @dataclass(frozen=True, eq=False)
 class FiniteSingquandle:
     """A validated finite oriented singquandle.  Construct via the factory
-    functions; the tables arrive already checked and are frozen read-only."""
+    functions; the tables arrive already checked and are frozen read-only.
+
+    ``gens`` is the generating set of (X, *) that validation went through
+    (see :meth:`generators`); it is not part of equality or the hash."""
 
     order: int
     star: np.ndarray
@@ -167,13 +171,14 @@ class FiniteSingquandle:
     r1: np.ndarray
     r2: np.ndarray
     labels: tuple[str, ...] = field(default=())
+    gens: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
 
     def __post_init__(self):
         if not self.labels:
             object.__setattr__(self, "labels", tuple(str(i) for i in range(self.order)))
         if len(self.labels) != self.order or len(set(self.labels)) != self.order:
             raise MalformedTableError("labels must be distinct, one per element")
-        for t in (self.star, self.bar, self.r1, self.r2):
+        for t in (self.star, self.bar, self.r1, self.r2, self.gens):
             t.setflags(write=False)
 
     def __eq__(self, other) -> bool:
@@ -205,6 +210,16 @@ class FiniteSingquandle:
             raise IndexError(f"element {x} outside 0..{self.order - 1}")
         return x
 
+    def generators(self) -> np.ndarray:
+        """A generating set S of (X, *), ascending, as validation found it.
+
+        Every x -> x*s with s in S is then an automorphism of the whole
+        structure, and these maps generate Inn(X).  Empty for a structure
+        constructed directly rather than through :func:`table_singquandle`,
+        whose tables nothing has checked.
+        """
+        return self.gens
+
     def profiles(self) -> np.ndarray:
         """All six fixed-point counts for every element, shape (n, 6).
 
@@ -232,7 +247,7 @@ class FiniteSingquandle:
             raise EmptySeedError("closure needs a nonempty seed")
         while True:
             idx = np.fromiter(members, dtype=np.int64)
-            grid = np.ix_(idx, idx)
+            grid = idx[:, None], idx[None, :]
             new = set(self.star[grid].ravel().tolist())
             new.update(self.r1[grid].ravel().tolist())
             new.update(self.r2[grid].ravel().tolist())
@@ -269,7 +284,7 @@ class FiniteSingquandle:
 def table_singquandle(order: int, star, r1, r2,
                       labels: Optional[Sequence[str]] = None) -> FiniteSingquandle:
     """Build and fully validate a structure from explicit tables."""
-    report, star, r1, r2, bar = _validate(star, r1, r2, order)
+    report, star, r1, r2, bar, gens = _validate(star, r1, r2, order)
     if not report.ok:
         quandle_axioms = set(_QUANDLE_AXIOMS.values())
         if any(v.axiom in quandle_axioms for v in report.violations):
@@ -282,6 +297,7 @@ def table_singquandle(order: int, star, r1, r2,
         r1=r1,
         r2=r2,
         labels=tuple(labels) if labels is not None else (),
+        gens=gens,
     )
 
 

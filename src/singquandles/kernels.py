@@ -49,6 +49,7 @@ import numpy as np
 
 __all__ = [
     "generating_set",
+    "moving_rhos",
     "quandle_violations",
     "sing_violations",
     "enumerate_colorings",
@@ -132,7 +133,7 @@ def generating_set(star) -> np.ndarray:
     return np.array(gens, dtype=np.int64)
 
 
-def _moving(star: np.ndarray, gens) -> np.ndarray:
+def moving_rhos(star: np.ndarray, gens) -> np.ndarray:
     """Rows rho_s = star[:, s] for the s in gens whose rho_s is not the
     identity; an identity map preserves every table."""
     rhos = np.ascontiguousarray(star[:, gens].T)
@@ -189,7 +190,7 @@ def quandle_violations(star: np.ndarray, cap: int, gens=None) -> np.ndarray:
         m = star[star[a]]  # m[b, c] = (a*b)*c
         return m, m.ravel().take(flat)
 
-    if gens is not None and not inv.size and _preserved(_moving(star, gens), star):
+    if gens is not None and not inv.size and _preserved(moving_rhos(star, gens), star):
         dist = _NO_ROWS
     else:
         dist = _slab_rows(2, n, cap, distributive)
@@ -236,7 +237,7 @@ def sing_violations(star, bar, r1, r2, cap: int, gens=None) -> np.ndarray:
                 bar_t.ravel().take(star.take(r2[a], axis=1) + row_b.T))
 
     if gens is not None and not four.size and not five.size:
-        rhos = _moving(star, gens)
+        rhos = moving_rhos(star, gens)
         if _preserved(rhos, r1) and all(np.array_equal(*three(a)) for a in _orbit_reps(rhos, n)):
             return np.concatenate([four, five])
 

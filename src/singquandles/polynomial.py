@@ -177,13 +177,31 @@ class PhiInvariant:
         return " + ".join(f"{m}*u^{{{p.render()}}}" for p, m in self._entries)
 
 
+def _phi_of_images(rows: Sequence[Sequence[int]],
+                   images: Iterable[tuple[Iterable[int], int]]) -> PhiInvariant:
+    """phi from (image, number of colorings) pairs; rows as for _subset_poly.
+
+    A polynomial is fixed by the multiset of its members' profile rows, so
+    the counts are summed per multiset and each multiset gets one
+    polynomial: over the trivial star of order 64, 2080 images share 2.
+    """
+    ids: dict[tuple[int, ...], int] = {}
+    kind = [ids.setdefault(tuple(row), len(ids)) for row in rows]
+    counts: Counter[tuple[int, ...]] = Counter()
+    first: dict[tuple[int, ...], Iterable[int]] = {}
+    for image, m in images:
+        key = tuple(sorted(kind[x] for x in image))
+        counts[key] += m
+        first.setdefault(key, image)
+    return PhiInvariant([(_subset_poly(rows, first[key]), m) for key, m in counts.items()])
+
+
 def phi_from_images(q: FiniteSingquandle, images: Iterable[Iterable[int]]) -> PhiInvariant:
     """Build phi from explicit coloring images; each must be a subsingquandle."""
-    rows = q.profiles().tolist()
-    polys = []
+    checked = []
     for i, image in enumerate(images):
-        members = set(image)
+        members = {int(x) for x in image}
         if not q.is_subsingquandle(members):
             raise NotASubsingquandleError(f"image #{i} {sorted(members)} is not a subsingquandle")
-        polys.append(_subset_poly(rows, map(int, members)))
-    return PhiInvariant(polys)
+        checked.append((members, 1))
+    return _phi_of_images(q.profiles().tolist(), checked)

@@ -20,11 +20,15 @@ File format::
 
 The name line is optional; each remaining line is one ``lhs = rhs``
 relation in the term grammar of :mod:`singquandles.terms`.
+
+phi (:func:`phi_ssqp`) needs one closure per orbit of the colorings' seed
+sets under the maps x -> x*s, s in the target's generating set: these maps
+are automorphisms, so they carry colorings to colorings and images to
+images of the same ssqp.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -33,7 +37,7 @@ import numpy as np
 from . import kernels
 from .core import FiniteSingquandle
 from .errors import ParseError, UnboundGeneratorError
-from .polynomial import PhiInvariant, _subset_poly
+from .polynomial import PhiInvariant, _phi_of_images
 from .terms import Apply, Gen, Term, generators_of, parse_term, render_term
 
 
@@ -253,19 +257,55 @@ def group_by_seed(homs: list[dict[str, int]]) -> dict[frozenset[int], list]:
     return groups
 
 
+def _seed_orbits(groups: dict[frozenset[int], list], rhos: np.ndarray):
+    """The seed sets of ``group_by_seed`` split into orbits under the maps
+    whose rows are rhos: yields each orbit's first seed set, in group order,
+    with the orbit's number of colorings.
+
+    The seed set of a coloring h moves to the seed set of rho o h, which
+    is again a coloring when rho is an automorphism; a seed set whose image
+    no coloring has means that premise failed, and raises.  The inverse of
+    a permutation of a finite set is one of its powers, so following the
+    images alone reaches the whole orbit.
+    """
+    maps = rhos.tolist()
+    done: set[frozenset[int]] = set()
+    for seed in groups:
+        if seed in done:
+            continue
+        done.add(seed)
+        orbit = [seed]
+        for here in orbit:
+            for rho in maps:
+                there = frozenset([rho[x] for x in here])
+                if there in done:
+                    continue
+                if there not in groups:
+                    raise RuntimeError(
+                        f"seed set {sorted(here)} maps to {sorted(there)}, which no "
+                        f"coloring has: a map x -> x*s with s in the generating set "
+                        f"is not an automorphism")
+                done.add(there)
+                orbit.append(there)
+        yield seed, sum(groups[t][1] for t in orbit)
+
+
 def phi_ssqp(pres: SingPresentation, q: FiniteSingquandle) -> PhiInvariant:
     """The multiset of ssqp values over all coloring images.
 
-    The ambient profiles are taken once per call, the closure once per
-    distinct seed set, and each distinct image gets one polynomial, weighted
-    by its number of colorings.  Distinct images may share a polynomial, so
-    PhiInvariant gets (poly, count) pairs and merges them itself.
+    Each x -> x*s with s in the generating set of q is an automorphism g,
+    so g o h is a coloring whenever h is, its image is g applied to the
+    image of h, and the ambient profiles, hence ssqp, do not change.  The
+    seed sets of the colorings are therefore grouped into orbits under the
+    maps that move something, and one closure per orbit, of its first
+    coloring, carries the orbit's coloring count.  The ambient profiles are
+    taken once per call and one polynomial is built per distinct multiset
+    of profile rows; PhiInvariant merges equal polynomials itself.
     """
-    rows = q.profiles().tolist()
-    counts: Counter[frozenset[int]] = Counter()
-    for hom, m in group_by_seed(enumerate_homs(pres, q)).values():
-        counts[hom_image(q, hom)] += m
-    return PhiInvariant([(_subset_poly(rows, image), m) for image, m in counts.items()])
+    groups = group_by_seed(enumerate_homs(pres, q))
+    rhos = kernels.moving_rhos(q.star, q.generators())
+    counts = [(hom_image(q, groups[seed][0]), m) for seed, m in _seed_orbits(groups, rhos)]
+    return _phi_of_images(q.profiles().tolist(), counts)
 
 
 def counting_invariant(pres: SingPresentation, q: FiniteSingquandle) -> int:

@@ -182,3 +182,35 @@ def star_closure(star, seed) -> set[int]:
         if new <= members:
             return members
         members |= new
+
+
+def inner_automorphisms(star) -> set[tuple[int, ...]]:
+    """Every element of Inn(X), as image tuples: breadth-first over
+    compositions of all the right translations y -> y*x, from the identity."""
+    n = len(star)
+    rights = {tuple(star[y][x] for y in range(n)) for x in range(n)}
+    group = {tuple(range(n))}
+    frontier = list(group)
+    while frontier:
+        found = []
+        for g in frontier:
+            for r in rights:
+                h = tuple(r[g[y]] for y in range(n))
+                if h not in group:
+                    group.add(h)
+                    found.append(h)
+        frontier = found
+    return group
+
+
+def seed_orbits(star, seeds) -> list[set[frozenset[int]]]:
+    """The given seed sets split into their orbits under all of Inn(X)."""
+    inn = inner_automorphisms(star)
+    left = {frozenset(s) for s in seeds}
+    orbits = []
+    while left:
+        seed = left.pop()
+        orbit = {frozenset(g[x] for x in seed) for g in inn}
+        left -= orbit
+        orbits.append(orbit)
+    return orbits

@@ -109,7 +109,7 @@ def test_proof_catches_corruption_off_orbit_representatives():
     rng = random.Random(5)
     for n, t, s in ((8, 3, 2), (9, 2, 4), (12, 5, 1), (16, 5, 3)):
         q = affine_singquandle(n, t, s)
-        rhos = kernels._moving(q.star, kernels.generating_set(q.star))
+        rhos = kernels.moving_rhos(q.star, kernels.generating_set(q.star))
         reps = set(kernels._orbit_reps(rhos, n))
         assert len(reps) == np.gcd(t - 1, n)  # the Inn-orbits are the cosets of (1-t)Z_n
         others = [a for a in range(n) if a not in reps]
@@ -134,7 +134,7 @@ def test_proof_checks_every_orbit_and_right_invertibility():
     assert set(rows[:, 0]) == {3} and 0 not in rows[:, 1]
     # not right-invertible, yet the one moving rho_s preserves star
     star = np.array([[0, 0, 0], [1, 2, 1], [2, 0, 0]])
-    assert kernels._preserved(kernels._moving(star, kernels.generating_set(star)), star)
+    assert kernels._preserved(kernels.moving_rhos(star, kernels.generating_set(star)), star)
     _assert_rows_match_oracle(star, np.zeros_like(star), np.zeros_like(star))
 
 

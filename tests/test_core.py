@@ -25,7 +25,15 @@ from singquandles.errors import (
 )
 from singquandles.formulas import affine_singquandle
 
-from oracles import naive_closure, profile_of, quandle_ok, shift_singquandle, sing_ok, violation_rows
+from oracles import (
+    naive_closure,
+    profile_of,
+    quandle_ok,
+    shift_singquandle,
+    sing_ok,
+    star_closure,
+    violation_rows,
+)
 
 ALL_SQ = ("X-Z4", "Y-Z4", "X-Z8-a", "X-Z8-b")
 
@@ -337,9 +345,49 @@ def test_validation_of_order_512_stays_under_16_mb():
 def test_build_takes_one_generating_set(monkeypatch, xz8a):
     calls = []
     orig = kernels.generating_set
-    monkeypatch.setattr(kernels, "generating_set", lambda star: calls.append(1) or orig(star))
-    assert table_singquandle(8, xz8a.star, xz8a.r1, xz8a.r2) == xz8a
+    monkeypatch.setattr(kernels, "generating_set", lambda star: calls.append(orig(star)) or calls[-1])
+    q = table_singquandle(8, xz8a.star, xz8a.r1, xz8a.r2)
+    assert q == xz8a
     assert len(calls) == 1
+    # the structure keeps the set validation took, not a second one
+    assert q.generators() is calls[0]
+    q.profiles(), q.closure([0]), q.relabel(range(8))
+    assert len(calls) == 2  # the relabelled copy is one more build
+
+
+BUILT = {
+    "affine(64,3,2)": lambda: affine_singquandle(64, 3, 2),
+    "affine(48,47,2)": lambda: affine_singquandle(48, 47, 2),
+    "trivial(16)": lambda: affine_singquandle(16, 1, 0),
+    "shift(6,1)": lambda: shift_singquandle(6, 1),
+}
+
+
+@pytest.mark.parametrize("name", ALL_SQ + tuple(BUILT))
+def test_generators_generate_the_star(name):
+    q = BUILT[name]() if name in BUILT else corpus.load(name)
+    gens = q.generators().tolist()
+    assert gens == sorted(set(gens))
+    assert star_closure(q.star.tolist(), gens) == set(range(q.order))
+    with pytest.raises(ValueError):
+        q.generators()[0] = 1
+
+
+def test_generators_of_relabelled_copies(xz8a):
+    perm = [3, 0, 7, 5, 1, 6, 2, 4]
+    other = xz8a.relabel(perm)
+    assert star_closure(other.star.tolist(), other.generators().tolist()) == set(range(8))
+    assert other.relabel(np.argsort(perm)) == xz8a
+
+
+def test_generators_take_no_part_in_equality_or_hash(xz8a):
+    bare = FiniteSingquandle(order=8, star=xz8a.star.copy(), bar=xz8a.bar.copy(),
+                             r1=xz8a.r1.copy(), r2=xz8a.r2.copy())
+    other = FiniteSingquandle(order=8, star=xz8a.star.copy(), bar=xz8a.bar.copy(),
+                              r1=xz8a.r1.copy(), r2=xz8a.r2.copy(), gens=np.arange(8))
+    assert bare.generators().size == 0
+    assert bare == xz8a == other
+    assert hash(bare) == hash(xz8a) == hash(other)
 
 
 def test_report_describe_mentions_axiom():

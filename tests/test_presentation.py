@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from singquandles import corpus, kernels
+from singquandles.core import FiniteSingquandle, table_singquandle
 from singquandles.diagram import SingularPD, pd_to_presentation
 from singquandles.errors import ParseError
 from singquandles.formulas import affine_singquandle
@@ -22,7 +23,7 @@ from singquandles.presentation import (
 )
 from singquandles.terms import Gen, parse_term
 
-from oracles import brute_homs, naive_closure, shift_singquandle
+from oracles import brute_homs, naive_closure, seed_orbits, shift_singquandle
 
 LINKS = ("1_1l", "1_1l-2gen", "6_11l", "K1", "K2")
 TARGETS = ("X-Z4", "Y-Z4", "X-Z8-a", "X-Z8-b")
@@ -239,10 +240,32 @@ def _phi_per_coloring(pres, q) -> PhiInvariant:
 ALL_LINKS = LINKS + ("1_1l-pd", "6_11l-pd", "K1-pd", "K2-pd")
 
 
+def _mixed_profiles(seed: int):
+    # over the trivial star every R1 is valid with R2(a, b) = R1(b, a); a
+    # random R1 gives elements different profiles, so images of one size
+    # can have different polynomials (on affine targets they never do)
+    rng = random.Random(seed)
+    n = 5
+    r1 = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+    q = table_singquandle(n, [[a] * n for a in range(n)], r1, np.array(r1).T)
+    assert len({tuple(row) for row in q.profiles().tolist()}) > 1
+    return q
+
+
+# targets outside the affine family and the corpus
+BUILT_TARGETS = {
+    "shift(4,1)": lambda: shift_singquandle(4, 1),
+    "shift(5,0)": lambda: shift_singquandle(5, 0),
+    "shift(6,2)": lambda: shift_singquandle(6, 2),
+    **{f"mixed-{seed}": lambda seed=seed: _mixed_profiles(seed) for seed in range(4)},
+}
+
+
 @pytest.mark.parametrize("link", ALL_LINKS)
-@pytest.mark.parametrize("target", TARGETS)
+@pytest.mark.parametrize("target", TARGETS + tuple(BUILT_TARGETS))
 def test_phi_equals_per_coloring_definition(link, target):
-    pres, q = _link(link), corpus.load(target)
+    pres = _link(link)
+    q = BUILT_TARGETS[target]() if target in BUILT_TARGETS else corpus.load(target)
     assert phi_ssqp(pres, q) == _phi_per_coloring(pres, q)
 
 
@@ -264,6 +287,49 @@ def test_phi_counts_images_that_share_a_polynomial():
 def test_phi_takes_one_profile_table_and_one_closure_per_seed_set(structure_calls, link, target):
     pres, q = _link(link), corpus.load(target)
     seeds = {frozenset(h.values()) for h in enumerate_homs(pres, q)}
+    orbits = seed_orbits(q.star.tolist(), seeds)
     phi_ssqp(pres, q)
     assert structure_calls["profiles"] == 1
-    assert 0 < structure_calls["closure"] <= len(seeds)
+    assert structure_calls["closure"] == len(orbits) <= len(seeds)
+
+
+# seed sets of the colorings and their Inn-orbits, counted independently
+@pytest.mark.parametrize("link, target, n_seeds, n_orbits", [
+    ("1_1l", (48, 47, 2), 1144, 50),
+    ("1_1l-2gen", (48, 47, 2), 1176, 38),
+    ("1_1l", (12, 11, 2), 70, 14),
+    ("1_1l", (64, 3, 2), 160, 6),
+    ("1_1l", (64, 1, 0), 2080, 2080),  # trivial star: every rho_s is the identity
+])
+def test_phi_takes_one_closure_per_inn_orbit(structure_calls, link, target, n_seeds, n_orbits):
+    pres, q = corpus.load(link), affine_singquandle(*target)
+    seeds = {frozenset(h.values()) for h in enumerate_homs(pres, q)}
+    assert (len(seeds), len(seed_orbits(q.star.tolist(), seeds))) == (n_seeds, n_orbits)
+    phi = phi_ssqp(pres, q)
+    assert structure_calls["closure"] == n_orbits
+    assert phi == _phi_per_coloring(pres, q)
+
+
+def test_phi_of_a_structure_without_generators_closes_every_seed_set(structure_calls):
+    # built directly, so nothing vouches that any x -> x*s is an
+    # automorphism, and phi takes no orbits
+    q = affine_singquandle(12, 11, 2)
+    bare = FiniteSingquandle(order=q.order, star=q.star, bar=q.bar, r1=q.r1, r2=q.r2)
+    pres = corpus.load("1_1l")
+    want = _phi_per_coloring(pres, q)
+    structure_calls["closure"] = 0
+    assert phi_ssqp(pres, bare) == want
+    assert structure_calls["closure"] == 70
+
+
+def test_phi_rejects_a_generator_that_is_not_an_automorphism():
+    # the dihedral star of order 3 with R1 constant 0: x = R1(x, x) has the
+    # one coloring x = 0, and x -> x*1 sends it to 2, which is no coloring
+    star = np.array([[0, 2, 1], [2, 1, 0], [1, 0, 2]])
+    zero = np.zeros((3, 3), dtype=np.int64)
+    q = FiniteSingquandle(order=3, star=star, bar=star.copy(), r1=zero, r2=zero.copy(),
+                          gens=np.array([1]))
+    pres = P("generators: x\nx = R1(x, x)\n")
+    assert enumerate_homs(pres, q) == [{"x": 0}]
+    with pytest.raises(RuntimeError, match="not an automorphism"):
+        phi_ssqp(pres, q)
