@@ -22,7 +22,7 @@ from .formulas import affine_singquandle
 from .polynomial import PhiInvariant, SqPolynomial, sqp, ssqp
 from .presentation import (
     SingPresentation,
-    enumerate_homs,
+    _coloring_rows,
     group_by_seed,
     hom_image,
     parse_presentation,
@@ -127,19 +127,20 @@ def _cmd_ssqp(args) -> int:
 def _cmd_color(args) -> int:
     pres = _load_link_arg(args.link)
     q = _load_singquandle_arg(args.structure)
-    homs = enumerate_homs(pres, q)
+    rows = _coloring_rows(pres, q)
     if args.format == "machine":
-        print(len(homs))
+        print(len(rows))
     else:
-        print(f"{len(homs)} colorings")
+        print(f"{len(rows)} colorings")
     if args.list:
         if args.format != "machine":
             print("generators: " + " ".join(pres.generators))
-        images = {seed: ",".join(q.labels[x] for x in sorted(hom_image(q, hom)))
-                  for seed, (hom, _) in group_by_seed(homs).items()}
-        for hom in homs:
-            values = " ".join(q.labels[hom[g]] for g in pres.generators)
-            print(f"{values} -> {{{images[frozenset(hom.values())]}}}")
+        images = {seed: ",".join(q.labels[x] for x in sorted(
+                      hom_image(q, dict(zip(pres.generators, row)))))
+                  for seed, (row, _) in group_by_seed(rows).items()}
+        for row in rows.tolist():
+            values = " ".join(q.labels[x] for x in row)
+            print(f"{values} -> {{{images[frozenset(row)]}}}")
     return 0
 
 

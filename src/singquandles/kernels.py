@@ -37,10 +37,17 @@ identities, witnesses (a, b, c) or (a, b) for the pair identities 4 and 5.
 Coloring programs are postorder instruction arrays over int64 tables:
 opcode 0 pushes generator ``arg``, opcodes 1..4 pop two values and apply
 star, bar, R1, R2.  A search plan is a table of steps ``[kind, target,
-start, end, start2, end2]`` run in order: STEP_FREE tries every value of
-generator ``target``, STEP_DERIVE sets it to the value of program
+start, end, start2, end2, op, side]`` run in order: STEP_FREE tries every
+value of generator ``target``, STEP_DERIVE sets it to the value of program
 ``code[start:end]``, STEP_CHECK rejects an assignment on which the programs
-``code[start:end]`` and ``code[start2:end2]`` differ.
+``code[start:end]`` and ``code[start2:end2]`` differ.  STEP_JOIN binds
+``target`` to every v with ``T[A, v] = B`` (side 1) or ``T[v, A] = B``
+(side 0), where T is the table of opcode ``op``, A is program
+``code[start:end]`` and B is program ``code[start2:end2]``; ``op`` and
+``side`` are 0 on the other kinds.  A join looks its values up in an
+inverted index of T, built once per (op, side) in O(n^2): the v of each
+(A, B) pair form one bucket, so the frontier grows by the bucket sizes, not
+n-fold (an index nested-loop join; Selinger et al., SIGMOD 1979).
 """
 
 from __future__ import annotations
@@ -56,7 +63,7 @@ __all__ = [
 ]
 
 OP_GEN, OP_STAR, OP_BAR, OP_R1, OP_R2 = 0, 1, 2, 3, 4
-STEP_FREE, STEP_DERIVE, STEP_CHECK = 0, 1, 2
+STEP_FREE, STEP_DERIVE, STEP_CHECK, STEP_JOIN = 0, 1, 2, 3
 
 _NO_ROWS = np.empty((0, 4), dtype=np.int64)
 
@@ -270,20 +277,51 @@ def _share(cols: dict, fn) -> dict:
     return out
 
 
-def _enumerate(n, g, star, bar, r1, r2, code, steps, max_stack):
+def _inverted_index(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """CSR buckets of the v in each row a of table, keyed by a*n + table[a, v]:
+    the v with table[a, v] = b are ``values[offsets[k]:offsets[k + 1]]`` for
+    k = a*n + b, ascending.  A stable sort of each row by its entries is the
+    stable sort of the keys, whose rows never interleave."""
+    n = table.shape[0]
+    values = np.argsort(table, axis=1, kind="stable").ravel()
+    offsets = np.zeros(n * n + 1, dtype=np.int64)
+    np.cumsum(np.bincount((table + np.arange(n)[:, None] * n).ravel(), minlength=n * n),
+              out=offsets[1:])
+    return values, offsets
+
+
+def _enumerate(n, g, star, bar, r1, r2, code, steps):
     # breadth-first over the plan: the frontier keeps one column per bound
-    # generator, grows n-fold only at a free step and is pruned at each check
+    # generator, grows n-fold only at a free step, by the bucket sizes at a
+    # join step, and is pruned at each check
     tables = (star, bar, r1, r2)
     vals = np.arange(n, dtype=np.int64)
+    index: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
     cols: dict[int, np.ndarray] = {}
     m = 1
-    for kind, target, s0, e0, s1, e1 in steps.tolist():
+    for kind, target, s0, e0, s1, e1, op, side in steps.tolist():
         if kind == STEP_FREE:
             cols = _share(cols, lambda c: np.repeat(c, n))
             cols[target] = np.tile(vals, m)
             m *= n
         elif kind == STEP_DERIVE:
             cols[target] = _eval_prog(code, s0, e0, tables, cols)
+        elif kind == STEP_JOIN:
+            if (op, side) not in index:
+                table = tables[op - 1]
+                index[op, side] = _inverted_index(table if side else table.T)
+            values, offsets = index[op, side]
+            key = _eval_prog(code, s0, e0, tables, cols) * n
+            key += _eval_prog(code, s1, e1, tables, cols)
+            first = offsets[key]
+            sizes = offsets[key + 1] - first
+            ends = np.cumsum(sizes)
+            m = int(ends[-1])
+            # row i's bucket fills output rows ends[i]-sizes[i] .. ends[i]-1
+            cols = _share(cols, lambda c: np.repeat(c, sizes))
+            cols[target] = values[np.repeat(first - ends + sizes, sizes) + np.arange(m)]
+            if m == 0:
+                break
         else:
             keep = (_eval_prog(code, s0, e0, tables, cols)
                     == _eval_prog(code, s1, e1, tables, cols))
@@ -297,13 +335,13 @@ def _enumerate(n, g, star, bar, r1, r2, code, steps, max_stack):
     return out
 
 
-def enumerate_colorings(n, g, star, bar, r1, r2, code, steps, max_stack) -> np.ndarray:
+def enumerate_colorings(n, g, star, bar, r1, r2, code, steps) -> np.ndarray:
     """All satisfying assignments, rows in lexicographic order, shape (m, g).
 
     The search returns rows in the order of its plan; one sort by the
     columns in generator order makes the result independent of the plan.
     """
-    rows = _enumerate(n, g, star, bar, r1, r2, code, steps, max_stack)
+    rows = _enumerate(n, g, star, bar, r1, r2, code, steps)
     return rows[np.lexsort(rows.T[::-1])]
 
 

@@ -2,13 +2,17 @@
 
 A presentation is a generator list plus relations, each relation a pair of
 terms that every coloring must equate.  Colorings (homomorphisms into a
-finite target) are found by a search planned at compile time: a relation
-``g = term`` whose term is already bound assigns g directly, ``y*z = x``
-and ``y/z = x`` are solved for y through the right inverse, and only the
-generators no relation determines are enumerated over all elements.  The
+finite target) are found by a search planned at compile time, which binds
+each generator in one of three ways, tried in this order.  A derive: a
+relation ``g = term`` whose term is already bound assigns g directly, and
+``y*z = x`` and ``y/z = x`` are solved for y through the right inverse.  A
+join: a relation ``op(A, g) = B`` or ``op(g, A) = B`` with A and B bound,
+such as ``x = y/z`` with x and y bound or ``R1(x, y) = z`` with x and z
+bound, binds g to the values a table lookup finds.  A free step: only the
+generators neither rule reaches are enumerated over all elements.  The
 remaining relations are checked as soon as all of their generators are
 bound.  Results come back in lexicographic order of the assignment tuple,
-independent of plan and backend.
+independent of the plan.
 
 File format::
 
@@ -112,46 +116,87 @@ def render_presentation(pres: SingPresentation) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _compile_term(term: Term, index: dict[str, int], code: list[tuple[int, int]]) -> int:
-    """Append the postorder program of term to code; return its peak stack depth."""
+_OPCODES = {"*": kernels.OP_STAR, "/": kernels.OP_BAR, "R1": kernels.OP_R1, "R2": kernels.OP_R2}
+
+
+def _compile_term(term: Term, index: dict[str, int], code: list[tuple[int, int]]) -> None:
+    """Append the postorder program of term to code."""
     if isinstance(term, Gen):
         code.append((kernels.OP_GEN, index[term.name]))
-        return 1
-    left = _compile_term(term.left, index, code)
-    right = _compile_term(term.right, index, code)
-    op = {"*": kernels.OP_STAR, "/": kernels.OP_BAR,
-          "R1": kernels.OP_R1, "R2": kernels.OP_R2}[term.op]
-    code.append((op, 0))
-    return max(left, right + 1)
+        return
+    _compile_term(term.left, index, code)
+    _compile_term(term.right, index, code)
+    code.append((_OPCODES[term.op], 0))
 
 
-def _solve(side: Term, other: Term, bound: set[str]) -> Optional[tuple[str, Term]]:
-    """Solve ``side = other``, a relation not yet fully bound, for the one
-    unbound generator of side, given that other is bound.
+def _bound(term: Term, bound: set[str]) -> bool:
+    return set(generators_of(term)) <= bound
 
-    Peels bound right operands off side through the right inverse
-    (``y*z = x`` gives ``y = x/z``, ``y/z = x`` gives ``y = x*z``) until a
-    generator is left; R1 and R2 are never inverted.
-    """
-    if not set(generators_of(other)) <= bound:
+
+def _peel(side: Term, other: Term, bound: set[str]) -> Optional[tuple[Term, Term]]:
+    """``side = other`` with bound right operands of side moved across
+    through the right inverse (``y*z = x`` gives ``y = x/z``, ``y/z = x``
+    gives ``y = x*z``), or None unless other is bound.  R1 and R2 are never
+    inverted."""
+    if not _bound(other, bound):
         return None
-    while (isinstance(side, Apply) and side.op in ("*", "/")
-           and set(generators_of(side.right)) <= bound):
+    while isinstance(side, Apply) and side.op in ("*", "/") and _bound(side.right, bound):
         other = Apply("/" if side.op == "*" else "*", other, side.right)
         side = side.left
-    if isinstance(side, Gen):
-        return side.name, other
+    return side, other
+
+
+def _derive(side: Term, other: Term, bound: set[str]) -> Optional[tuple]:
+    """``("derive", g, term)`` when side peels down to the generator g.
+    Called only on relations that are not fully bound, so g is unbound."""
+    peeled = _peel(side, other, bound)
+    if peeled and isinstance(peeled[0], Gen):
+        return ("derive", peeled[0].name, peeled[1])
+    return None
+
+
+def _join(side: Term, other: Term, bound: set[str]) -> Optional[tuple]:
+    """``("join", g, op, pos, A, B)`` when side peels down to ``op(A, g)``
+    (pos 1) or ``op(g, A)`` (pos 0) with g an unbound generator and A
+    bound, B being the peeled other side.  A left operand of ``*`` or ``/``
+    never joins: when its right operand is bound, side peels further."""
+    peeled = _peel(side, other, bound)
+    if not peeled or not isinstance(peeled[0], Apply):
+        return None
+    side, other = peeled
+    operands = (side.left, side.right)
+    for pos in (0, 1):
+        g, known = operands[pos], operands[1 - pos]
+        if isinstance(g, Gen) and g.name not in bound and _bound(known, bound):
+            return ("join", g.name, side.op, pos, known, other)
+    return None
+
+
+def _first_step(pres: SingPresentation, pending: list[int], bound: set[str], solve):
+    """The step that solve makes of the first pending relation, in file
+    order, that it can use, either way round; that relation leaves pending."""
+    for r in pending:
+        lhs, rhs = pres.relations[r]
+        step = solve(lhs, rhs, bound) or solve(rhs, lhs, bound)
+        if step:
+            pending.remove(r)
+            return step
     return None
 
 
 def _plan(pres: SingPresentation) -> list[tuple]:
-    """Order the search: ``("free", g)``, ``("derive", g, term)`` and
-    ``("check", lhs, rhs)`` steps that together bind every generator.
+    """Order the search: ``("free", g)``, ``("derive", g, term)``,
+    ``("join", g, op, pos, A, B)`` and ``("check", lhs, rhs)`` steps that
+    together bind every generator.
 
     Fully bound relations become checks at once.  Otherwise the first
     relation (in file order) that can be solved for an unbound generator
-    derives it; failing that, the unbound generator occurring in the most
-    pending relations is enumerated freely, ties going to the lowest index.
+    derives it; failing that, the first relation of the form
+    ``op(A, g) = B`` or ``op(g, A) = B`` with A and B bound joins g;
+    failing that, the unbound generator occurring in the most pending
+    relations is enumerated freely, ties going to the lowest index.  A join
+    keeps exactly the rows that a free step of g followed by the check of
+    that relation would keep.
     """
     gens = [set(generators_of(lhs)) | set(generators_of(rhs)) for lhs, rhs in pres.relations]
     pending = list(range(len(pres.relations)))
@@ -163,50 +208,48 @@ def _plan(pres: SingPresentation) -> list[tuple]:
             pending.remove(r)
         if len(bound) == len(pres.generators):
             return steps
-        for r in pending:
-            lhs, rhs = pres.relations[r]
-            solved = _solve(lhs, rhs, bound) or _solve(rhs, lhs, bound)
-            if solved:
-                steps.append(("derive", *solved))
-                bound.add(solved[0])
-                pending.remove(r)
-                break
-        else:
-            free = max((g for g in pres.generators if g not in bound),
-                       key=lambda g: sum(g in gens[r] for r in pending))
-            steps.append(("free", free))
-            bound.add(free)
+        step = (_first_step(pres, pending, bound, _derive)
+                or _first_step(pres, pending, bound, _join)
+                or ("free", max((g for g in pres.generators if g not in bound),
+                                key=lambda g: sum(g in gens[r] for r in pending))))
+        steps.append(step)
+        bound.add(step[1])
 
 
 def _compile(pres: SingPresentation):
     """Compile the plan into one instruction array plus a step table.
 
-    Step rows are ``[kind, target, start, end, start2, end2]``: a free step
-    enumerates generator ``target``, a derive step sets it to the program
-    ``code[start:end]``, and a check step keeps the rows on which the
-    programs ``code[start:end]`` and ``code[start2:end2]`` agree.
+    Step rows are ``[kind, target, start, end, start2, end2, op, side]``: a
+    free step enumerates generator ``target``, a derive step sets it to the
+    program ``code[start:end]``, a check step keeps the rows on which the
+    programs ``code[start:end]`` and ``code[start2:end2]`` agree, and a join
+    step binds ``target`` to the v with ``T[A, v] = B`` (side 1) or
+    ``T[v, A] = B`` (side 0), T the table of opcode ``op``, A the first
+    program and B the second; op and side are 0 on the other kinds.
     """
     index = {g: i for i, g in enumerate(pres.generators)}
     code: list[tuple[int, int]] = []
     steps = []
-    max_stack = 1
 
     def emit(term: Term) -> tuple[int, int]:
-        nonlocal max_stack
         start = len(code)
-        max_stack = max(max_stack, _compile_term(term, index, code))
+        _compile_term(term, index, code)
         return start, len(code)
 
     for kind, *args in _plan(pres):
         if kind == "free":
-            steps.append((kernels.STEP_FREE, index[args[0]], 0, 0, 0, 0))
+            steps.append((kernels.STEP_FREE, index[args[0]], 0, 0, 0, 0, 0, 0))
         elif kind == "derive":
-            steps.append((kernels.STEP_DERIVE, index[args[0]], *emit(args[1]), 0, 0))
+            steps.append((kernels.STEP_DERIVE, index[args[0]], *emit(args[1]), 0, 0, 0, 0))
+        elif kind == "join":
+            g, op, pos, known, other = args
+            steps.append((kernels.STEP_JOIN, index[g], *emit(known), *emit(other),
+                          _OPCODES[op], pos))
         else:
-            steps.append((kernels.STEP_CHECK, -1, *emit(args[0]), *emit(args[1])))
+            steps.append((kernels.STEP_CHECK, -1, *emit(args[0]), *emit(args[1]), 0, 0))
     code_arr = np.array(code, dtype=np.int64).reshape(-1, 2)
-    steps_arr = np.array(steps, dtype=np.int64).reshape(-1, 6)
-    return code_arr, steps_arr, max_stack
+    steps_arr = np.array(steps, dtype=np.int64).reshape(-1, 8)
+    return code_arr, steps_arr
 
 
 def _eval_rows(term: Term, q: FiniteSingquandle, cols: dict[str, np.ndarray]) -> np.ndarray:
@@ -217,16 +260,16 @@ def _eval_rows(term: Term, q: FiniteSingquandle, cols: dict[str, np.ndarray]) ->
     return table[_eval_rows(term.left, q, cols), _eval_rows(term.right, q, cols)]
 
 
-def enumerate_homs(pres: SingPresentation, q: FiniteSingquandle) -> list[dict[str, int]]:
-    """All colorings of the presentation by q, in lexicographic order of the
-    generator value tuple.  Every returned coloring is re-checked against
-    every relation by evaluating the relation terms directly, so backend
-    pruning or derivation can never admit a spurious solution."""
+def _coloring_rows(pres: SingPresentation, q: FiniteSingquandle) -> np.ndarray:
+    """All colorings as an (m, g) array of generator values, one row per
+    coloring in lexicographic order.  Every row is re-checked against every
+    relation by evaluating the relation terms directly, so the plan's
+    derivations, joins and pruning can never admit a spurious solution."""
     if not pres.generators:
-        return [{}]
-    code, steps, max_stack = _compile(pres)
+        return np.zeros((1, 0), dtype=np.int64)
+    code, steps = _compile(pres)
     rows = kernels.enumerate_colorings(
-        q.order, len(pres.generators), q.star, q.bar, q.r1, q.r2, code, steps, max_stack)
+        q.order, len(pres.generators), q.star, q.bar, q.r1, q.r2, code, steps)
     cols = dict(zip(pres.generators, rows.T))
     bad = np.zeros(len(rows), dtype=bool)
     for lhs, rhs in pres.relations:
@@ -234,8 +277,16 @@ def enumerate_homs(pres: SingPresentation, q: FiniteSingquandle) -> list[dict[st
     if bad.any():
         hom = dict(zip(pres.generators, rows[np.argmax(bad)].tolist()))
         raise RuntimeError(
-            f"backend returned a spurious coloring {hom} for {pres.name or 'presentation'}")
-    return [dict(zip(pres.generators, row)) for row in rows.tolist()]
+            f"coloring search returned a spurious coloring {hom} for "
+            f"{pres.name or 'presentation'}")
+    return rows
+
+
+def enumerate_homs(pres: SingPresentation, q: FiniteSingquandle) -> list[dict[str, int]]:
+    """All colorings of the presentation by q, in lexicographic order of the
+    generator value tuple, each a dict generator -> value.  Every returned
+    coloring has been re-checked against every relation."""
+    return [dict(zip(pres.generators, row)) for row in _coloring_rows(pres, q).tolist()]
 
 
 def hom_image(q: FiniteSingquandle, hom: dict[str, int]) -> frozenset[int]:
@@ -244,16 +295,16 @@ def hom_image(q: FiniteSingquandle, hom: dict[str, int]) -> frozenset[int]:
     return q.closure(hom.values())
 
 
-def group_by_seed(homs: list[dict[str, int]]) -> dict[frozenset[int], list]:
-    """Colorings grouped by their set of generator values, which alone
-    determines the image: seed set -> [first coloring, number of colorings]."""
+def group_by_seed(rows: np.ndarray) -> dict[frozenset[int], list]:
+    """Coloring rows grouped by their set of generator values, which alone
+    determines the image: seed set -> [first row as a list, number of rows]."""
     groups: dict[frozenset[int], list] = {}
-    for hom in homs:
-        seed = frozenset(hom.values())
+    for row in rows.tolist():
+        seed = frozenset(row)
         if seed in groups:
             groups[seed][1] += 1
         else:
-            groups[seed] = [hom, 1]
+            groups[seed] = [row, 1]
     return groups
 
 
@@ -302,11 +353,12 @@ def phi_ssqp(pres: SingPresentation, q: FiniteSingquandle) -> PhiInvariant:
     taken once per call and one polynomial is built per distinct multiset
     of profile rows; PhiInvariant merges equal polynomials itself.
     """
-    groups = group_by_seed(enumerate_homs(pres, q))
+    groups = group_by_seed(_coloring_rows(pres, q))
     rhos = kernels.moving_rhos(q.star, q.generators())
-    counts = [(hom_image(q, groups[seed][0]), m) for seed, m in _seed_orbits(groups, rhos)]
+    counts = [(hom_image(q, dict(zip(pres.generators, groups[seed][0]))), m)
+              for seed, m in _seed_orbits(groups, rhos)]
     return _phi_of_images(q.profiles().tolist(), counts)
 
 
 def counting_invariant(pres: SingPresentation, q: FiniteSingquandle) -> int:
-    return len(enumerate_homs(pres, q))
+    return len(_coloring_rows(pres, q))

@@ -1,5 +1,6 @@
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -97,11 +98,21 @@ def test_wide_pd_enumeration_matches_brute_force(s, backend):
 # one hand-written presentation per planner path, with the step it must plan
 PLANNER_PATHS = {
     "generator on both sides": ("generators: x, y\nx = R2(x, y)\n",
-                                ("check", Gen("x"), parse_term("R2(x,y)"))),
+                                ("join", "y", "R2", 1, Gen("x"), Gen("x"))),
+    "generator nested on both sides": ("generators: x, y\nx = R2(x, R1(x, y))\n",
+                                       ("check", Gen("x"), parse_term("R2(x,R1(x,y))"))),
     "solve through *": ("generators: a, b, c\na*b = c\nb = R1(c, c)\n",
                         ("derive", "a", parse_term("c/b"))),
     "solve through /": ("generators: a, b, c\na/b = c\nb = R1(c, c)\n",
                         ("derive", "a", parse_term("c*b"))),
+    "join / right operand": ("generators: x, y, z\ny = x/z\n",
+                             ("join", "z", "/", 1, Gen("x"), Gen("y"))),
+    "join * right operand": ("generators: x, y, z\nx*z/y = y\n",
+                             ("join", "z", "*", 1, Gen("x"), parse_term("y*y"))),
+    "join R1 left operand": ("generators: x, y, z\nR1(z, x) = y\n",
+                             ("join", "z", "R1", 0, Gen("x"), Gen("y"))),
+    "join R2 right operand": ("generators: x, y, z\nR2(y, z) = R1(x, y)\n",
+                              ("join", "z", "R2", 1, Gen("y"), parse_term("R1(x,y)"))),
     "generator in no relation": ("generators: u, x, y\nx = R2(x, y)\nR1(x, y) * x = y\n",
                                  ("free", "u")),
     "relation x = x": ("generators: x, y\nx = x\nR1(x, y) = y\n",
@@ -119,10 +130,27 @@ def test_planner_paths_match_brute_force(path, backend):
         assert enumerate_homs(pres, q) == brute_homs(pres, q)
 
 
-@pytest.mark.parametrize("link,free", (("6_11l-pd", 3), ("K1-pd", 2)))
-def test_plan_enumerates_only_free_generators(link, free):
-    _, steps, _ = _compile(pd_to_presentation(corpus.load(link)))
+@pytest.mark.parametrize("link,free,joins", (("6_11l-pd", 2, 1), ("K1-pd", 2, 0)))
+def test_plan_enumerates_only_free_generators(link, free, joins):
+    _, steps = _compile(pd_to_presentation(corpus.load(link)))
     assert np.count_nonzero(steps[:, 0] == kernels.STEP_FREE) == free
+    assert np.count_nonzero(steps[:, 0] == kernels.STEP_JOIN) == joins
+
+
+@pytest.mark.parametrize("link", ("6_11l", "6_11l-pd", "K2"))
+def test_coloring_search_memory_is_bounded(link):
+    # a free step followed by a check would hold n**3 = 2M rows of every
+    # bound generator (over 100 MB); over this target a join's buckets hold
+    # at most 2 values, so no frontier exceeds 2 n**2 rows
+    pres, q = _link(link), affine_singquandle(128, 3, 2)
+    tracemalloc.start()
+    try:
+        homs = enumerate_homs(pres, q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(homs) == {"6_11l": 256, "6_11l-pd": 256, "K2": 128}[link]
+    assert peak < 8 << 20
 
 
 def test_spurious_backend_rows_are_rejected(monkeypatch):
@@ -238,6 +266,26 @@ def _phi_per_coloring(pres, q) -> PhiInvariant:
 
 
 ALL_LINKS = LINKS + ("1_1l-pd", "6_11l-pd", "K1-pd", "K2-pd")
+
+
+# targets whose join buckets are empty or hold all n values: the trivial
+# star (x*y = x, R2(x, y) = x) and the shift structures (constant R1 in its
+# left operand, R2 in its right)
+EDGE_TARGETS = {
+    "trivial": lambda n: affine_singquandle(n, 1, 0),
+    "shift-1": lambda n: shift_singquandle(n, 1),
+    "shift-0": lambda n: shift_singquandle(n, 0),
+}
+
+
+@pytest.mark.parametrize("link", ALL_LINKS)
+@pytest.mark.parametrize("target", EDGE_TARGETS)
+def test_joins_with_empty_and_full_buckets_match_brute_force(link, target):
+    pres = _link(link)
+    # n = 3 brute-forces 3**6 assignments; the 14 generators of 6_11l-pd
+    # need n = 2 (3**14 would take minutes)
+    q = EDGE_TARGETS[target](2 if len(pres.generators) > 6 else 3)
+    assert enumerate_homs(pres, q) == brute_homs(pres, q)
 
 
 def _mixed_profiles(seed: int):
