@@ -17,7 +17,7 @@ from . import corpus
 from .core import FiniteSingquandle, find_isomorphism
 from .diagram import SingularPD, parse_pd, pd_to_presentation
 from .errors import ParseError, ValidationError
-from .fileformats import MAX_ORDER, load_singquandle, render_singquandle
+from .fileformats import MAX_ORDER, load_singquandle, read_text, render_singquandle
 from .formulas import affine_singquandle
 from .polynomial import PhiInvariant, SqPolynomial, sqp, ssqp
 from .presentation import (
@@ -31,11 +31,6 @@ from .presentation import (
 )
 
 USAGE_ERROR, PARSE_ERROR, VALIDATION_ERROR = 2, 3, 4
-
-
-def _read(path: str) -> str:
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
 
 
 def _load_singquandle_arg(arg: str) -> FiniteSingquandle:
@@ -56,7 +51,7 @@ def _load_link_arg(arg: str) -> SingPresentation:
         if isinstance(obj, SingPresentation):
             return obj
         raise ParseError(f"corpus id {arg[len('corpus:'):]!r} is not a link")
-    text = _read(arg)
+    text = read_text(arg)
     stripped = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
     if any(ln.startswith("generators:") for ln in stripped):
         return parse_presentation(text)
@@ -171,7 +166,7 @@ def _cmd_pd2rel(args) -> int:
             raise ParseError(f"corpus id {args.pd[len('corpus:'):]!r} is not a PD code")
         pd = obj
     else:
-        pd = parse_pd(_read(args.pd))
+        pd = parse_pd(read_text(args.pd))
     sys.stdout.write(render_presentation(pd_to_presentation(pd)))
     return 0
 

@@ -153,6 +153,15 @@ def render_singquandle(q: FiniteSingquandle) -> str:
     return "\n".join(lines) + "\n"
 
 
+def read_text(path: str | os.PathLike) -> str:
+    """The text of a UTF-8 file; ParseError naming the path if it is not UTF-8."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{os.fspath(path)}: not UTF-8 text "
+                         f"(byte {exc.object[exc.start]:#04x} at offset {exc.start})") from None
+
+
 def load_singquandle(path: str | os.PathLike) -> FiniteSingquandle:
-    with open(path, encoding="utf-8") as fh:
-        return parse_singquandle(fh.read())
+    return parse_singquandle(read_text(path))

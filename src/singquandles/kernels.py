@@ -34,25 +34,25 @@ column y and value z with preimage count != 1), 2 self-distributivity
 (witness a, b, c).  Singular codes 1..5 follow the five compatibility
 identities, witnesses (a, b, c) or (a, b) for the pair identities 4 and 5.
 
-Coloring programs are postorder instruction arrays over int64 tables:
-opcode 0 pushes generator ``arg``, opcodes 1..4 pop two values and apply
-star, bar, R1, R2.  A search plan is a table of steps ``[kind, target,
-start, end, start2, end2, op, side]`` run in order: STEP_FREE tries every
-value of generator ``target``, STEP_DERIVE sets it to the value of program
-``code[start:end]``, STEP_CHECK rejects an assignment on which the programs
-``code[start:end]`` and ``code[start2:end2]`` differ.  STEP_JOIN binds
-``target`` to every v with ``T[A, v] = B`` (side 1) or ``T[v, A] = B``
-(side 0), where T is the table of opcode ``op``, A is program
-``code[start:end]`` and B is program ``code[start2:end2]``; ``op`` and
-``side`` are 0 on the other kinds.  A join looks its values up in an
-inverted index of T, built once per (op, side) in O(n^2): the v of each
-(A, B) pair form one bucket, so the frontier grows by the bucket sizes, not
-n-fold (an index nested-loop join; Selinger et al., SIGMOD 1979).
+Coloring enumeration runs a search plan, a list of tuples over the terms
+of :mod:`singquandles.terms`, in order: ``("free", g)`` tries every value
+of generator g, ``("derive", g, t)`` sets g to the value of term t,
+``("check", s, t)`` rejects an assignment on which s and t differ, and
+``("join", g, op, pos, A, B)`` binds g to every v with ``T[A, v] = B``
+(pos 1) or ``T[v, A] = B`` (pos 0), where T is the table of operator op.
+The frontier holds one column per bound generator, and every term is
+evaluated on all of its rows at once by :func:`terms.eval_rows`.  A join
+looks its values up in an inverted index of T, built once per (op, pos) in
+O(n^2): the v of each (A, B) pair form one bucket, so the frontier grows by
+the bucket sizes, not n-fold (an index nested-loop join; Selinger et al.,
+SIGMOD 1979).
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .terms import eval_rows
 
 __all__ = [
     "generating_set",
@@ -61,9 +61,6 @@ __all__ = [
     "sing_violations",
     "enumerate_colorings",
 ]
-
-OP_GEN, OP_STAR, OP_BAR, OP_R1, OP_R2 = 0, 1, 2, 3, 4
-STEP_FREE, STEP_DERIVE, STEP_CHECK, STEP_JOIN = 0, 1, 2, 3
 
 _NO_ROWS = np.empty((0, 4), dtype=np.int64)
 
@@ -252,19 +249,6 @@ def sing_violations(star, bar, r1, r2, cap: int, gens=None) -> np.ndarray:
     return np.concatenate(parts + [four, five])
 
 
-def _eval_prog(code, start, end, tables, cols):
-    """Evaluate one program over every frontier row at once."""
-    stack = []
-    for op, arg in code[start:end].tolist():
-        if op == OP_GEN:
-            stack.append(cols[arg])
-        else:
-            b = stack.pop()
-            a = stack.pop()
-            stack.append(tables[op - 1][a, b])
-    return stack[0]
-
-
 def _share(cols: dict, fn) -> dict:
     """Apply fn once per distinct array in cols.  A derive like ``c = b``
     stores one array under two keys; the result stays shared, not copied."""
@@ -290,58 +274,56 @@ def _inverted_index(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values, offsets
 
 
-def _enumerate(n, g, star, bar, r1, r2, code, steps):
-    # breadth-first over the plan: the frontier keeps one column per bound
-    # generator, grows n-fold only at a free step, by the bucket sizes at a
-    # join step, and is pruned at each check
-    tables = (star, bar, r1, r2)
+def enumerate_colorings(tables: dict, generators, plan) -> np.ndarray:
+    """All assignments of values to generators that satisfy the plan, one
+    row per assignment in lexicographic order, shape (m, len(generators)).
+    tables maps each operator to its n x n table.
+
+    The search runs breadth-first over the plan: the frontier grows n-fold
+    only at a free step, by the bucket sizes at a join, and is pruned at
+    each check.  It returns rows in the order of its plan; one sort by the
+    columns in generator order makes the result independent of the plan.
+    """
+    n = tables["*"].shape[0]
     vals = np.arange(n, dtype=np.int64)
-    index: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-    cols: dict[int, np.ndarray] = {}
+    index: dict[tuple[str, int], tuple[np.ndarray, np.ndarray]] = {}
+    cols: dict[str, np.ndarray] = {}
     m = 1
-    for kind, target, s0, e0, s1, e1, op, side in steps.tolist():
-        if kind == STEP_FREE:
+    for kind, *args in plan:
+        if kind == "free":
             cols = _share(cols, lambda c: np.repeat(c, n))
-            cols[target] = np.tile(vals, m)
+            cols[args[0]] = np.tile(vals, m)
             m *= n
-        elif kind == STEP_DERIVE:
-            cols[target] = _eval_prog(code, s0, e0, tables, cols)
-        elif kind == STEP_JOIN:
-            if (op, side) not in index:
-                table = tables[op - 1]
-                index[op, side] = _inverted_index(table if side else table.T)
-            values, offsets = index[op, side]
-            key = _eval_prog(code, s0, e0, tables, cols) * n
-            key += _eval_prog(code, s1, e1, tables, cols)
+        elif kind == "derive":
+            g, term = args
+            cols[g] = eval_rows(term, tables, cols)
+        elif kind == "join":
+            g, op, pos, known, other = args
+            if (op, pos) not in index:
+                index[op, pos] = _inverted_index(tables[op] if pos else tables[op].T)
+            values, offsets = index[op, pos]
+            key = eval_rows(known, tables, cols) * n
+            key += eval_rows(other, tables, cols)
             first = offsets[key]
             sizes = offsets[key + 1] - first
             ends = np.cumsum(sizes)
             m = int(ends[-1])
             # row i's bucket fills output rows ends[i]-sizes[i] .. ends[i]-1
             cols = _share(cols, lambda c: np.repeat(c, sizes))
-            cols[target] = values[np.repeat(first - ends + sizes, sizes) + np.arange(m)]
+            cols[g] = values[np.repeat(first - ends + sizes, sizes) + np.arange(m)]
             if m == 0:
                 break
         else:
-            keep = (_eval_prog(code, s0, e0, tables, cols)
-                    == _eval_prog(code, s1, e1, tables, cols))
+            lhs, rhs = args
+            keep = eval_rows(lhs, tables, cols) == eval_rows(rhs, tables, cols)
             cols = _share(cols, lambda c: c[keep])
             m = int(np.count_nonzero(keep))
             if m == 0:
                 break
-    out = np.empty((m, g), dtype=np.int64)
-    for k, c in cols.items():
-        out[:, k] = c
-    return out
-
-
-def enumerate_colorings(n, g, star, bar, r1, r2, code, steps) -> np.ndarray:
-    """All satisfying assignments, rows in lexicographic order, shape (m, g).
-
-    The search returns rows in the order of its plan; one sort by the
-    columns in generator order makes the result independent of the plan.
-    """
-    rows = _enumerate(n, g, star, bar, r1, r2, code, steps)
+    rows = np.empty((m, len(generators)), dtype=np.int64)
+    for k, g in enumerate(generators):
+        if g in cols:  # every generator is bound unless the search emptied
+            rows[:, k] = cols[g]
     return rows[np.lexsort(rows.T[::-1])]
 
 

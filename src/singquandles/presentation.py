@@ -2,17 +2,18 @@
 
 A presentation is a generator list plus relations, each relation a pair of
 terms that every coloring must equate.  Colorings (homomorphisms into a
-finite target) are found by a search planned at compile time, which binds
-each generator in one of three ways, tried in this order.  A derive: a
-relation ``g = term`` whose term is already bound assigns g directly, and
-``y*z = x`` and ``y/z = x`` are solved for y through the right inverse.  A
-join: a relation ``op(A, g) = B`` or ``op(g, A) = B`` with A and B bound,
-such as ``x = y/z`` with x and y bound or ``R1(x, y) = z`` with x and z
-bound, binds g to the values a table lookup finds.  A free step: only the
-generators neither rule reaches are enumerated over all elements.  The
-remaining relations are checked as soon as all of their generators are
-bound.  Results come back in lexicographic order of the assignment tuple,
-independent of the plan.
+finite target) are found by a search that :func:`_plan` orders as a list
+of step tuples and :func:`kernels.enumerate_colorings` runs as they are.
+The plan binds each generator in one of three ways, tried in this order.
+A derive: a relation ``g = term`` whose term is already bound assigns g
+directly, and ``y*z = x`` and ``y/z = x`` are solved for y through the
+right inverse.  A join: a relation ``op(A, g) = B`` or ``op(g, A) = B``
+with A and B bound, such as ``x = y/z`` with x and y bound or
+``R1(x, y) = z`` with x and z bound, binds g to the values a table lookup
+finds.  A free step: only the generators neither rule reaches are
+enumerated over all elements.  The remaining relations are checked as
+soon as all of their generators are bound.  Results come back in
+lexicographic order of the assignment tuple, independent of the plan.
 
 File format::
 
@@ -42,7 +43,7 @@ from . import kernels
 from .core import FiniteSingquandle
 from .errors import ParseError, UnboundGeneratorError
 from .polynomial import PhiInvariant, _phi_of_images
-from .terms import Apply, Gen, Term, generators_of, parse_term, render_term
+from .terms import Apply, Gen, Term, eval_rows, generators_of, parse_term, render_term
 
 
 @dataclass(frozen=True)
@@ -114,19 +115,6 @@ def render_presentation(pres: SingPresentation) -> str:
     for lhs, rhs in pres.relations:
         lines.append(f"{render_term(lhs)} = {render_term(rhs)}")
     return "\n".join(lines) + "\n"
-
-
-_OPCODES = {"*": kernels.OP_STAR, "/": kernels.OP_BAR, "R1": kernels.OP_R1, "R2": kernels.OP_R2}
-
-
-def _compile_term(term: Term, index: dict[str, int], code: list[tuple[int, int]]) -> None:
-    """Append the postorder program of term to code."""
-    if isinstance(term, Gen):
-        code.append((kernels.OP_GEN, index[term.name]))
-        return
-    _compile_term(term.left, index, code)
-    _compile_term(term.right, index, code)
-    code.append((_OPCODES[term.op], 0))
 
 
 def _bound(term: Term, bound: set[str]) -> bool:
@@ -216,64 +204,19 @@ def _plan(pres: SingPresentation) -> list[tuple]:
         bound.add(step[1])
 
 
-def _compile(pres: SingPresentation):
-    """Compile the plan into one instruction array plus a step table.
-
-    Step rows are ``[kind, target, start, end, start2, end2, op, side]``: a
-    free step enumerates generator ``target``, a derive step sets it to the
-    program ``code[start:end]``, a check step keeps the rows on which the
-    programs ``code[start:end]`` and ``code[start2:end2]`` agree, and a join
-    step binds ``target`` to the v with ``T[A, v] = B`` (side 1) or
-    ``T[v, A] = B`` (side 0), T the table of opcode ``op``, A the first
-    program and B the second; op and side are 0 on the other kinds.
-    """
-    index = {g: i for i, g in enumerate(pres.generators)}
-    code: list[tuple[int, int]] = []
-    steps = []
-
-    def emit(term: Term) -> tuple[int, int]:
-        start = len(code)
-        _compile_term(term, index, code)
-        return start, len(code)
-
-    for kind, *args in _plan(pres):
-        if kind == "free":
-            steps.append((kernels.STEP_FREE, index[args[0]], 0, 0, 0, 0, 0, 0))
-        elif kind == "derive":
-            steps.append((kernels.STEP_DERIVE, index[args[0]], *emit(args[1]), 0, 0, 0, 0))
-        elif kind == "join":
-            g, op, pos, known, other = args
-            steps.append((kernels.STEP_JOIN, index[g], *emit(known), *emit(other),
-                          _OPCODES[op], pos))
-        else:
-            steps.append((kernels.STEP_CHECK, -1, *emit(args[0]), *emit(args[1]), 0, 0))
-    code_arr = np.array(code, dtype=np.int64).reshape(-1, 2)
-    steps_arr = np.array(steps, dtype=np.int64).reshape(-1, 8)
-    return code_arr, steps_arr
-
-
-def _eval_rows(term: Term, q: FiniteSingquandle, cols: dict[str, np.ndarray]) -> np.ndarray:
-    """Evaluate term on every coloring at once; cols maps generator -> values."""
-    if isinstance(term, Gen):
-        return cols[term.name]
-    table = {"*": q.star, "/": q.bar, "R1": q.r1, "R2": q.r2}[term.op]
-    return table[_eval_rows(term.left, q, cols), _eval_rows(term.right, q, cols)]
-
-
 def _coloring_rows(pres: SingPresentation, q: FiniteSingquandle) -> np.ndarray:
     """All colorings as an (m, g) array of generator values, one row per
     coloring in lexicographic order.  Every row is re-checked against every
-    relation by evaluating the relation terms directly, so the plan's
+    original relation, not the plan's peeled terms, so the plan's
     derivations, joins and pruning can never admit a spurious solution."""
     if not pres.generators:
         return np.zeros((1, 0), dtype=np.int64)
-    code, steps = _compile(pres)
-    rows = kernels.enumerate_colorings(
-        q.order, len(pres.generators), q.star, q.bar, q.r1, q.r2, code, steps)
+    tables = {"*": q.star, "/": q.bar, "R1": q.r1, "R2": q.r2}
+    rows = kernels.enumerate_colorings(tables, pres.generators, _plan(pres))
     cols = dict(zip(pres.generators, rows.T))
     bad = np.zeros(len(rows), dtype=bool)
     for lhs, rhs in pres.relations:
-        bad |= _eval_rows(lhs, q, cols) != _eval_rows(rhs, q, cols)
+        bad |= eval_rows(lhs, tables, cols) != eval_rows(rhs, tables, cols)
     if bad.any():
         hom = dict(zip(pres.generators, rows[np.argmax(bad)].tolist()))
         raise RuntimeError(

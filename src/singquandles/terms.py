@@ -4,6 +4,13 @@ Grammar (ASCII): identifiers are generators, infix ``*`` is the quandle
 operation, infix ``/`` is its right inverse, both left associative with
 equal precedence, so ``a*b/c`` means ``(a*b)/c``.  ``R1(s,t)`` and
 ``R2(s,t)`` are the two singular-crossing operations.  Parentheses group.
+
+Every function here walks a term recursively, one Python frame per level,
+so the parser rejects a term whose operator tree, or whose nesting of
+parentheses and argument lists, is deeper than :data:`MAX_DEPTH`.  The
+coloring planner can move the operands of one side of a relation onto the
+other, which adds the two sides' depths; twice the limit still fits under
+Python's default recursion limit of 1000.
 """
 
 from __future__ import annotations
@@ -15,6 +22,7 @@ from typing import Iterator, Union
 from .errors import TermSyntaxError, UnboundGeneratorError, UnknownOperatorError
 
 OPS = ("*", "/", "R1", "R2")
+MAX_DEPTH = 300
 _RESERVED = ("R1", "R2")
 
 
@@ -53,10 +61,15 @@ def _tokens(text: str) -> Iterator[tuple[str, str, int]]:
 
 
 class _Parser:
+    """Recursive descent; ``expr`` and ``atom`` return a term with the depth
+    of its operator tree, and ``nest`` counts the open parentheses and
+    argument lists."""
+
     def __init__(self, text: str):
         self.text = text
         self.toks = list(_tokens(text))
         self.i = 0
+        self.nest = 0
 
     def peek(self):
         return self.toks[self.i] if self.i < len(self.toks) else ("eof", "", len(self.text))
@@ -72,21 +85,35 @@ class _Parser:
             raise TermSyntaxError(f"found {val!r}" if kind != "eof" else "unexpected end of input",
                                   pos, (repr(sym),))
 
-    def expr(self) -> Term:
+    def open(self, pos: int):
+        if self.nest == MAX_DEPTH:
+            raise TermSyntaxError(f"parentheses nested deeper than {MAX_DEPTH}", pos)
+        self.nest += 1
+
+    def apply(self, op: str, left: tuple[Term, int], right: tuple[Term, int],
+              pos: int) -> tuple[Term, int]:
+        depth = 1 + max(left[1], right[1])
+        if depth > MAX_DEPTH:
+            raise TermSyntaxError(f"term nested deeper than {MAX_DEPTH} operators", pos)
+        return Apply(op, left[0], right[0]), depth
+
+    def expr(self) -> tuple[Term, int]:
         node = self.atom()
         while True:
-            kind, val, _ = self.peek()
+            kind, val, pos = self.peek()
             if kind == "sym" and val in ("*", "/"):
                 self.take()
-                node = Apply(val, node, self.atom())
+                node = self.apply(val, node, self.atom(), pos)
             else:
                 return node
 
-    def atom(self) -> Term:
+    def atom(self) -> tuple[Term, int]:
         kind, val, pos = self.take()
         if kind == "sym" and val == "(":
+            self.open(pos)
             node = self.expr()
             self.expect(")")
+            self.nest -= 1
             return node
         if kind == "ident":
             nkind, nval, _ = self.peek()
@@ -94,23 +121,25 @@ class _Parser:
                 if val not in _RESERVED:
                     raise UnknownOperatorError(
                         f"unknown operator {val!r} at position {pos}; only R1 and R2 take arguments")
-                self.take()
+                self.open(self.take()[2])
                 left = self.expr()
                 self.expect(",")
                 right = self.expr()
                 self.expect(")")
-                return Apply(val, left, right)
+                self.nest -= 1
+                return self.apply(val, left, right, pos)
             if val in _RESERVED:
                 raise TermSyntaxError(f"{val} is an operator, not a generator", pos, ("'('",))
-            return Gen(val)
+            return Gen(val), 0
         raise TermSyntaxError(f"found {val!r}" if kind != "eof" else "unexpected end of input",
                               pos, ("identifier", "'('"))
 
 
 def parse_term(text: str) -> Term:
-    """Parse a term; raises TermSyntaxError or UnknownOperatorError."""
+    """Parse a term; raises TermSyntaxError or UnknownOperatorError, the
+    former also for a term nested deeper than MAX_DEPTH."""
     p = _Parser(text)
-    node = p.expr()
+    node, _ = p.expr()
     kind, val, pos = p.peek()
     if kind != "eof":
         raise TermSyntaxError(f"trailing input {val!r}", pos, ("end of term",))
@@ -147,6 +176,16 @@ def eval_term(term: Term, q, assignment) -> int:
     if term.op == "R1":
         return int(q.r1[a, b])
     return int(q.r2[a, b])
+
+
+def eval_rows(term: Term, tables, cols):
+    """Evaluate term on many assignments at once: tables maps each operator
+    of OPS to its n x n integer array, cols maps each generator to an array
+    of values, one per assignment.  A bare generator returns its own column,
+    not a copy."""
+    if isinstance(term, Gen):
+        return cols[term.name]
+    return tables[term.op][eval_rows(term.left, tables, cols), eval_rows(term.right, tables, cols)]
 
 
 def generators_of(term: Term) -> tuple[str, ...]:

@@ -6,7 +6,8 @@ from singquandles import corpus
 from singquandles.cli import main
 from singquandles.fileformats import MAX_ORDER, load_singquandle
 from singquandles.formulas import affine_singquandle
-from singquandles.presentation import parse_presentation
+from singquandles.presentation import _plan, parse_presentation, render_presentation
+from singquandles.terms import MAX_DEPTH
 
 
 def run(capsys, *argv):
@@ -75,6 +76,51 @@ def test_validate_unparseable(tmp_path, capsys):
 def test_missing_file(capsys):
     code, _, err = run(capsys, "sqp", "/no/such/file.sq")
     assert code == 3
+
+
+def _assert_parse_error(result, *needles):
+    code, out, err = result
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert all(needle in err for needle in needles)
+
+
+def test_non_utf8_structure_is_unparseable(tmp_path, capsys):
+    p = tmp_path / "bin.sq"
+    p.write_bytes(b"singquandle n=2\nstar:\n0 \xff\n")
+    _assert_parse_error(run(capsys, "validate", str(p)), str(p), "UTF-8")
+    _assert_parse_error(run(capsys, "color", "corpus:K1", str(p)), str(p), "UTF-8")
+
+
+def test_non_utf8_link_is_unparseable(tmp_path, capsys):
+    p = tmp_path / "bin.pres"
+    p.write_bytes(b"generators: x\nx = \xff\n")
+    _assert_parse_error(run(capsys, "color", str(p), "corpus:X-Z4"), str(p), "UTF-8")
+    _assert_parse_error(run(capsys, "pd2rel", str(p)), str(p), "UTF-8")
+
+
+@pytest.mark.parametrize("rhs", ["(" * 5000 + "x" + ")" * 5000, "*".join(["x"] * 1500)],
+                         ids=["5000-parens", "1500-factors"])
+def test_deep_terms_are_unparseable(tmp_path, capsys, rhs):
+    p = tmp_path / "deep.pres"
+    p.write_text(f"generators: x\nx = {rhs}\n")
+    _assert_parse_error(run(capsys, "color", str(p), "corpus:X-Z4"), f"deeper than {MAX_DEPTH}")
+
+
+def test_term_at_depth_limit_colors(tmp_path, capsys):
+    # y*x*...*x at depth MAX_DEPTH against a right-nested x*(x*(...)) of the
+    # same depth: solving for y peels every factor onto the other side, so
+    # the derived term is twice as deep
+    lhs = "y" + "*x" * MAX_DEPTH
+    rhs = "x*(" * (MAX_DEPTH - 1) + "x*x" + ")" * (MAX_DEPTH - 1)
+    p = tmp_path / "limit.pres"
+    p.write_text(f"generators: x, y\n{lhs} = {rhs}\n")
+    pres = parse_presentation(p.read_text())
+    assert [step[0] for step in _plan(pres)] == ["free", "derive"]
+    assert render_presentation(pres) == p.read_text()
+    code, out, _ = run(capsys, "color", str(p), "corpus:X-Z4", "--format", "machine")
+    assert (code, out) == (0, "4\n")
 
 
 def test_unknown_corpus_id(capsys):

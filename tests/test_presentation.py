@@ -13,7 +13,6 @@ from singquandles.formulas import affine_singquandle
 from singquandles.polynomial import PhiInvariant, ssqp
 from singquandles.presentation import (
     SingPresentation,
-    _compile,
     _plan,
     counting_invariant,
     enumerate_homs,
@@ -132,9 +131,9 @@ def test_planner_paths_match_brute_force(path, backend):
 
 @pytest.mark.parametrize("link,free,joins", (("6_11l-pd", 2, 1), ("K1-pd", 2, 0)))
 def test_plan_enumerates_only_free_generators(link, free, joins):
-    _, steps = _compile(pd_to_presentation(corpus.load(link)))
-    assert np.count_nonzero(steps[:, 0] == kernels.STEP_FREE) == free
-    assert np.count_nonzero(steps[:, 0] == kernels.STEP_JOIN) == joins
+    kinds = [step[0] for step in _plan(pd_to_presentation(corpus.load(link)))]
+    assert kinds.count("free") == free
+    assert kinds.count("join") == joins
 
 
 @pytest.mark.parametrize("link", ("6_11l", "6_11l-pd", "K2"))

@@ -1,9 +1,11 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from singquandles import corpus
 from singquandles.errors import TermSyntaxError, UnboundGeneratorError, UnknownOperatorError
-from singquandles.terms import Apply, Gen, eval_term, generators_of, parse_term, render_term
+from singquandles.terms import (
+    MAX_DEPTH, Apply, Gen, eval_rows, eval_term, generators_of, parse_term, render_term)
 
 from oracles import eval_tree
 
@@ -39,6 +41,18 @@ def test_syntax_errors(bad):
         parse_term(bad)
     assert exc.value.position >= 0
     assert exc.value.expected
+
+
+@pytest.mark.parametrize("make", [
+    lambda d: "*".join(["x"] * (d + 1)),           # left-deep chain, no parentheses
+    lambda d: "x*(" * (d - 1) + "x*x" + ")" * (d - 1),
+    lambda d: "R1(x," * d + "x" + ")" * d,
+    lambda d: "(" * d + "x" + ")" * d,             # nesting without operators
+], ids=["chain", "parens", "R1", "bare-parens"])
+def test_depth_limit(make):
+    assert parse_term(make(MAX_DEPTH))
+    with pytest.raises(TermSyntaxError, match=f"deeper than {MAX_DEPTH}"):
+        parse_term(make(MAX_DEPTH + 1))
 
 
 def test_unknown_operator():
@@ -86,7 +100,10 @@ def test_render_parse_roundtrip(term):
 def test_eval_matches_oracle(term, a, b, c, d):
     q = corpus.load("X-Z4")
     env = {"x": a, "y": b, "z": c, "w": d}
-    assert eval_term(term, q, env) == eval_tree(term, q, env)
+    want = eval_tree(term, q, env)
+    assert eval_term(term, q, env) == want
+    tables = {"*": q.star, "/": q.bar, "R1": q.r1, "R2": q.r2}
+    assert eval_rows(term, tables, {g: np.array([v]) for g, v in env.items()}).tolist() == [want]
 
 
 def test_eval_composite_value():
