@@ -107,13 +107,15 @@ def derive_bar(star: np.ndarray) -> np.ndarray:
     """Right inverse of star: bar[z, b] is the unique a with a*b == z."""
     star = np.asarray(star, dtype=np.int64)
     n = star.shape[0]
+    cols = np.arange(n)
+    # counts[z, b]: how many a have a*b == z; entries of n or more fall past
+    # the n*n kept, leaving a zero count in their column
+    counts = np.bincount((star * n + cols).ravel(), minlength=n * n)[:n * n].reshape(n, n)
+    bad = (counts != 1).any(axis=0)
+    if bad.any():
+        raise NotRightInvertibleError(int(bad.argmax()))
     bar = np.empty_like(star)
-    for b in range(n):
-        col = star[:, b]
-        counts = np.bincount(col, minlength=n)
-        if np.any(counts != 1):
-            raise NotRightInvertibleError(b)
-        bar[:, b] = np.argsort(col)
+    bar[star, cols] = cols[:, None]
     return bar
 
 

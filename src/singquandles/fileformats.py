@@ -14,11 +14,18 @@ Table variant::
     R2:
     ...
 
-Rows and columns of each block follow label order; entries are labels.
-When the labels are exactly the decimal residues 0..n-1 in any order, the
-loader normalizes element i to residue i, so the same structure written
-in a different row order loads identically.  Other label sets are kept
-as opaque names in file order.
+Rows and columns of each block follow label order; entries are labels,
+matched exactly, so ``05`` is not the label ``5``.  When the labels are
+exactly the decimal residues 0..n-1 in any order, or the line is absent,
+the loader normalizes element i to residue i, so the same structure
+written in a different row order loads identically.  Other label sets are
+kept as opaque names in file order.
+
+A block of such a residue-labelled file is decoded by numpy at once when
+its rows are n canonical decimals below n each, separated by ASCII spaces
+and tabs.  Every other block, and every block of a file with opaque
+labels, is read entry by entry, which is also the path that reports what
+is wrong with a malformed block.
 
 Formula variant::
 
@@ -91,8 +98,8 @@ def _parse_formula_variant(lines: list[str], n: int) -> FiniteSingquandle:
 
 def _parse_table_variant(lines: list[str], n: int) -> FiniteSingquandle:
     labels: list[str] | None = None
-    blocks: dict[str, list[list[str]]] = {}
-    current: list[list[str]] | None = None
+    blocks: dict[str, list[str]] = {}
+    current: list[str] | None = None
     for line in lines:
         if line.startswith("labels:"):
             labels = line[len("labels:"):].split()
@@ -107,37 +114,78 @@ def _parse_table_variant(lines: list[str], n: int) -> FiniteSingquandle:
             continue
         if current is None:
             raise ParseError(f"unexpected line {line!r} before any table block")
-        current.append(line.split())
+        current.append(line)
     missing = [k for k in ("star", "R1", "R2") if k not in blocks]
     if missing:
         raise ParseError(f"missing block(s): {', '.join(missing)}")
 
-    if labels is None:
-        labels = [str(i) for i in range(n)]
-    index = {lab: i for i, lab in enumerate(labels)}
+    default = [str(i) for i in range(n)]
+    index = {lab: i for i, lab in enumerate(labels or default)}
+    if labels is not None and set(labels) != set(default):
+        tables = {key: _token_block(key, rows, n, index) for key, rows in blocks.items()}
+        return table_singquandle(n, tables["star"], tables["R1"], tables["R2"], labels=labels)
 
+    # numeric labels that form a permutation of 0..n-1 normalize to residue
+    # order: a decoded entry is its residue, and the file lists element i's
+    # row and column at inv[i], the position of label str(i)
+    perm = None if labels in (None, default) else np.array([int(lab) for lab in labels])
     tables = {}
     for key, rows in blocks.items():
-        if len(rows) != n or any(len(r) != n for r in rows):
-            raise ParseError(f"block {key} must be {n} rows of {n} entries")
-        try:
-            tables[key] = np.array([list(map(index.__getitem__, row)) for row in rows],
-                                   dtype=np.int64)
-        except KeyError:
-            entry = next(e for row in rows for e in row if e not in index)
-            raise ParseError(f"entry {entry!r} in block {key} is not a declared label") from None
-
-    # numeric labels that form a permutation of 0..n-1 normalize to residue order
-    if set(labels) == {str(i) for i in range(n)}:
-        perm = np.array([int(lab) for lab in labels], dtype=np.int64)  # element i is residue perm[i]
+        t = _bulk_block(rows, n)
+        if t is None:
+            t = _token_block(key, rows, n, index)
+            if perm is not None:
+                t = perm[t]
+        tables[key] = t
+    if perm is not None:
         inv = np.argsort(perm)
+        tables = {key: t[np.ix_(inv, inv)] for key, t in tables.items()}
+    return table_singquandle(n, tables["star"], tables["R1"], tables["R2"])
 
-        def to_residues(t):
-            return perm[t[np.ix_(inv, inv)]]
 
-        return table_singquandle(n, to_residues(tables["star"]), to_residues(tables["R1"]),
-                                 to_residues(tables["R2"]))
-    return table_singquandle(n, tables["star"], tables["R1"], tables["R2"], labels=labels)
+def _token_block(key: str, rows: list[str], n: int, index: dict[str, int]) -> np.ndarray:
+    """One block read entry by entry: each entry's position in label order."""
+    rows = [row.split() for row in rows]
+    if len(rows) != n or any(len(r) != n for r in rows):
+        raise ParseError(f"block {key} must be {n} rows of {n} entries")
+    try:
+        return np.array([list(map(index.__getitem__, row)) for row in rows], dtype=np.int64)
+    except KeyError:
+        entry = next(e for row in rows for e in row if e not in index)
+        raise ParseError(f"entry {entry!r} in block {key} is not a declared label") from None
+
+
+def _bulk_block(rows: list[str], n: int) -> np.ndarray | None:
+    """One block of residue entries decoded by numpy at once, or None when
+    the block is anything but n rows of n canonical decimals below n
+    separated by spaces and tabs; _token_block then reads it, or names
+    what is wrong with it."""
+    if len(rows) != n:
+        return None
+    text = "\n".join(rows)
+    if not text.isascii():
+        return None
+    buf = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    digit = (buf >= ord("0")) & (buf <= ord("9"))
+    # space and tab separate entries, and newline joins the rows here
+    if not (digit | (buf == ord(" ")) | (buf == ord("\t")) | (buf == ord("\n"))).all():
+        return None
+    starts = digit.copy()
+    starts[1:] &= ~digit[:-1]
+    row_offsets = np.cumsum([0] + [len(row) + 1 for row in rows[:-1]])
+    if np.any(np.add.reduceat(starts, row_offsets, dtype=np.intp) != n):
+        return None
+    values = np.fromstring(text, dtype=np.int64, sep=" ")
+    if values.min() < 0 or values.max() >= n:
+        return None
+    # an overlong token parses to the int64 maximum and failed above, so
+    # each token has at least as many digits as its value's decimal form,
+    # and equal totals mean that no token has a leading zero
+    decimal_digits = values.size + sum(np.count_nonzero(values >= 10 ** k)
+                                       for k in range(1, len(str(n - 1))))
+    if np.count_nonzero(digit) != decimal_digits:
+        return None
+    return values.reshape(n, n)
 
 
 def render_singquandle(q: FiniteSingquandle) -> str:

@@ -5,12 +5,12 @@ operation, infix ``/`` is its right inverse, both left associative with
 equal precedence, so ``a*b/c`` means ``(a*b)/c``.  ``R1(s,t)`` and
 ``R2(s,t)`` are the two singular-crossing operations.  Parentheses group.
 
-Every function here walks a term recursively, one Python frame per level,
-so the parser rejects a term whose operator tree, or whose nesting of
-parentheses and argument lists, is deeper than :data:`MAX_DEPTH`.  The
-coloring planner can move the operands of one side of a relation onto the
-other, which adds the two sides' depths; twice the limit still fits under
-Python's default recursion limit of 1000.
+Every function here but equality and hashing walks a term recursively,
+one Python frame per level, so the parser rejects a term whose operator
+tree, or whose nesting of parentheses and argument lists, is deeper than
+:data:`MAX_DEPTH`.  The coloring planner can move the operands of one side
+of a relation onto the other, which adds the two sides' depths; twice the
+limit still fits under Python's default recursion limit of 1000.
 """
 
 from __future__ import annotations
@@ -31,11 +31,51 @@ class Gen:
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Apply:
+    """An operator applied to two terms.  Equality and hashing walk the
+    tree with an explicit stack, so they need no recursion at any depth."""
+
     op: str  # one of OPS
     left: "Term"
     right: "Term"
+
+    def __eq__(self, other):
+        if other.__class__ is not Apply:
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if a.__class__ is not b.__class__:
+                return False
+            if a.__class__ is Gen:
+                if a != b:
+                    return False
+                continue
+            if a.op != b.op:
+                return False
+            stack.append((a.right, b.right))
+            stack.append((a.left, b.left))
+        return True
+
+    def __hash__(self):
+        return hash(tuple(_preorder(self)))
+
+
+def _preorder(term):
+    """Each Apply's operator and each Gen, parents before children: equal
+    terms, and only they, give equal sequences."""
+    stack = [term]
+    while stack:
+        t = stack.pop()
+        if t.__class__ is Apply:
+            yield t.op
+            stack.append(t.right)
+            stack.append(t.left)
+        else:
+            yield t
 
 
 Term = Union[Gen, Apply]

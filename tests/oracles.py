@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 
 from singquandles.core import FiniteSingquandle, table_singquandle
+from singquandles.errors import NotRightInvertibleError, ParseError
 from singquandles.terms import Apply, Gen
 
 
@@ -214,3 +215,73 @@ def seed_orbits(star, seeds) -> list[set[frozenset[int]]]:
         left -= orbit
         orbits.append(orbit)
     return orbits
+
+
+def bar_by_columns(star) -> list[list[int]]:
+    """bar[z][b] is the a with star[a][b] == z, one column at a time;
+    NotRightInvertibleError names the first column that is not a
+    permutation of 0..n-1."""
+    n = len(star)
+    bar = [[-1] * n for _ in range(n)]
+    for b in range(n):
+        col = [int(star[a][b]) for a in range(n)]
+        if sorted(col) != list(range(n)):
+            raise NotRightInvertibleError(b)
+        for a, z in enumerate(col):
+            bar[z][b] = a
+    return bar
+
+
+def read_table_file(text: str) -> FiniteSingquandle:
+    """A table-variant file read entry by entry: each row split into
+    strings, each entry looked up in the labels, and tables whose labels
+    are the residues 0..n-1 relabelled into residue order by their
+    permutation.  Takes a well-formed ``singquandle n=<order>`` header and
+    raises the loader's ParseError texts for everything after it."""
+    lines = [line for line in (raw.split("#", 1)[0].strip() for raw in text.splitlines()) if line]
+    assert lines[0].startswith("singquandle n=")
+    n = int(lines[0][len("singquandle n="):])
+    labels = None
+    blocks: dict[str, list[list[str]]] = {}
+    current = None
+    for line in lines[1:]:
+        if line.startswith("labels:"):
+            labels = line[len("labels:"):].split()
+            if len(labels) != n or len(set(labels)) != n:
+                raise ParseError(f"labels line must list {n} distinct labels")
+            continue
+        key = line.rstrip(":")
+        if line.endswith(":") and key in ("star", "R1", "R2"):
+            if key in blocks:
+                raise ParseError(f"duplicate block {key}")
+            current = blocks.setdefault(key, [])
+            continue
+        if current is None:
+            raise ParseError(f"unexpected line {line!r} before any table block")
+        current.append(line.split())
+    missing = [k for k in ("star", "R1", "R2") if k not in blocks]
+    if missing:
+        raise ParseError(f"missing block(s): {', '.join(missing)}")
+    if labels is None:
+        labels = [str(i) for i in range(n)]
+    index = {lab: i for i, lab in enumerate(labels)}
+    tables = {}
+    for key, rows in blocks.items():
+        if len(rows) != n or any(len(r) != n for r in rows):
+            raise ParseError(f"block {key} must be {n} rows of {n} entries")
+        for row in rows:
+            for entry in row:
+                if entry not in index:
+                    raise ParseError(f"entry {entry!r} in block {key} is not a declared label")
+        tables[key] = [[index[entry] for entry in row] for row in rows]
+    if set(labels) != {str(i) for i in range(n)}:
+        return table_singquandle(n, tables["star"], tables["R1"], tables["R2"], labels=labels)
+    perm = [int(lab) for lab in labels]  # element i of the file is residue perm[i]
+    residue = {}
+    for key, t in tables.items():
+        out = [[-1] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(n):
+                out[perm[i]][perm[j]] = perm[t[i][j]]
+        residue[key] = out
+    return table_singquandle(n, residue["star"], residue["R1"], residue["R2"])

@@ -26,6 +26,7 @@ from singquandles.errors import (
 from singquandles.formulas import affine_singquandle
 
 from oracles import (
+    bar_by_columns,
     naive_closure,
     profile_of,
     quandle_ok,
@@ -39,14 +40,14 @@ ALL_SQ = ("X-Z4", "Y-Z4", "X-Z8-a", "X-Z8-b")
 
 
 @pytest.mark.parametrize("cid", ALL_SQ)
-def test_corpus_structures_validate(cid, backend):
+def test_corpus_structures_validate(cid):
     q = corpus.load(cid)
     report = validate_tables(q.star, q.r1, q.r2)
     assert report.ok
     assert report.violations == ()
 
 
-def test_validation_agrees_with_oracle_on_affine(backend):
+def test_validation_agrees_with_oracle_on_affine():
     rng = random.Random(7)
     for _ in range(20):
         n = rng.randrange(3, 9)
@@ -59,7 +60,7 @@ def test_validation_agrees_with_oracle_on_affine(backend):
         assert validate_tables(q.star, q.r1, q.r2).ok
 
 
-def test_validation_catches_random_corruption(backend):
+def test_validation_catches_random_corruption():
     rng = random.Random(11)
     for _ in range(30):
         q = affine_singquandle(8, rng.choice([1, 3, 5, 7]), rng.randrange(8))
@@ -122,6 +123,26 @@ def test_derive_bar_rejects_bad_column():
     with pytest.raises(NotRightInvertibleError) as exc:
         derive_bar(star)
     assert exc.value.column == 0
+
+
+def test_derive_bar_matches_column_loop():
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 7, 33):
+        for _ in range(5):
+            # each column a random permutation: right-invertible, not a quandle
+            star = rng.permuted(np.tile(np.arange(n)[:, None], (1, n)), axis=0)
+            assert derive_bar(star).tolist() == bar_by_columns(star)
+            if n == 1:
+                continue
+            bad = rng.choice(n, size=rng.integers(1, n + 1), replace=False)
+            for b in bad:
+                a, a2 = rng.choice(n, size=2, replace=False)
+                star[a, b] = star[a2, b] if rng.random() < 0.8 else n
+            with pytest.raises(NotRightInvertibleError) as want:
+                bar_by_columns(star)
+            with pytest.raises(NotRightInvertibleError) as got:
+                derive_bar(star)
+            assert got.value.column == want.value.column == bad.min()
 
 
 @pytest.mark.parametrize("bad", [

@@ -65,7 +65,7 @@ def test_negative_crossing_relations():
     assert {("c", "b"), ("d", "a/b")} <= _relation_texts(pres)
 
 
-def test_kink_has_order_many_colorings(backend):
+def test_kink_has_order_many_colorings():
     # a single positive kink: the only relations are b=b and b=a*b, so
     # colorings are the diagonal and idempotence gives exactly n of them
     pres = pd_to_presentation(parse_pd("P[a,b,a,b]"))
@@ -75,7 +75,7 @@ def test_kink_has_order_many_colorings(backend):
     assert all(h["a"] == h["b"] for h in homs)
 
 
-def test_rii_cancellation_pins_negative_rule(backend):
+def test_rii_cancellation_pins_negative_rule():
     # sliding one strand under another and back: every pair must color it.
     # with the wrong inverse on the N crossing this collapses below n^2.
     pd = parse_pd("P[a,b,y,x] N[x,y,b,a]")
@@ -88,7 +88,7 @@ def test_singular_crossing_relations():
     assert {("z", "R1(x,y)"), ("w", "R2(x,y)")} <= _relation_texts(pres)
 
 
-def test_pd_paths_match_presentations(backend):
+def test_pd_paths_match_presentations():
     exp = corpus.expected()
     for pd_id in PD_IDS:
         link_id = pd_id.removesuffix("-pd")

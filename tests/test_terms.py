@@ -1,9 +1,12 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from singquandles import corpus
 from singquandles.errors import TermSyntaxError, UnboundGeneratorError, UnknownOperatorError
+from singquandles.presentation import parse_presentation
 from singquandles.terms import (
     MAX_DEPTH, Apply, Gen, eval_rows, eval_term, generators_of, parse_term, render_term)
 
@@ -53,6 +56,43 @@ def test_depth_limit(make):
     assert parse_term(make(MAX_DEPTH))
     with pytest.raises(TermSyntaxError, match=f"deeper than {MAX_DEPTH}"):
         parse_term(make(MAX_DEPTH + 1))
+
+
+def _lowest_limit(fn):
+    """The lowest recursion limit, to 5 frames, at which fn() returns."""
+    old = sys.getrecursionlimit()
+    limit, frame = 0, sys._getframe()
+    while frame is not None:
+        limit, frame = limit + 1, frame.f_back
+    try:
+        while True:
+            try:
+                sys.setrecursionlimit(limit)  # RecursionError below the current depth
+                fn()
+                return limit
+            except RecursionError:
+                limit += 5
+    finally:
+        sys.setrecursionlimit(old)
+
+
+def test_equal_terms_compare_and_hash_within_the_parse_limit():
+    # two equal but distinct presentations whose terms are MAX_DEPTH deep:
+    # comparing and hashing them needs no more recursion than parsing them
+    d = MAX_DEPTH
+    text = ("generators: x, y\n"
+            + "*".join(["x"] * (d + 1)) + " = " + "x*(" * (d - 1) + "x*x" + ")" * (d - 1) + "\n"
+            + "R1(x," * d + "y" + ")" * d + " = " + "y" + "/x" * d + "\n")
+    limit = _lowest_limit(lambda: parse_presentation(text))
+    a, b = parse_presentation(text), parse_presentation(text)
+    changed = parse_presentation(text[:-len("/x\n")] + "/y\n")
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit)
+    try:
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a != changed
+    finally:
+        sys.setrecursionlimit(old)
 
 
 def test_unknown_operator():
