@@ -48,8 +48,9 @@ from .formulas import formula_singquandle, parse_formula
 
 _HEADER_RE = re.compile(r"^(singquandle|singquandle-formula)\s+n\s*=\s*(\d+)\s*$")
 
-# Largest order a file header may declare.  An n x n int64 table takes
-# 8 n^2 bytes (128 MB at 4096) and validation holds about ten at once; a
+# Largest order a file header may declare.  A structure's four int16
+# tables take 8 n^2 bytes (128 MB at 4096); loading the affine formula file
+# of that order peaks at 800 MB, mostly the int64 formula tables.  A
 # larger header fails as a ParseError before any table is allocated.
 MAX_ORDER = 4096
 

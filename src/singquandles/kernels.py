@@ -24,7 +24,10 @@ reported rows never depend on the proof.  The scans of the n^3 identities
 run in slabs over ``a``: one n x n block per identity per step, built from
 row gathers and flat ``take`` on the n x n tables, so memory stays O(n^2).
 Each identity reads its slabs in (a, b, c) order and stops once it has
-``cap`` rows.
+``cap`` rows.  The kernels convert no table.  A structure's tables are
+int16 (see :mod:`singquandles.core`), and every flat index ``x * n + y``
+built from their entries is int64, since an int16 product wraps from
+n = 182 on.
 
 Violation rows are ``[code, a, b, c]`` with unused slots set to -1; the
 ``cap`` argument bounds the rows reported per axiom or identity, so a
@@ -74,16 +77,6 @@ def _pack(code: int, *cols) -> np.ndarray:
     return out
 
 
-def _narrow(*tables) -> list[np.ndarray]:
-    """The tables as contiguous int16 when every entry fits (order at most
-    2**15), else int64.  The slab scans gather from the whole tables at each
-    step; int16 quarters the bytes read, which halved the scan time at
-    n=256 on a 2-vCPU Xeon VM.  Flat indices built from these entries are
-    int64."""
-    dtype = np.int16 if tables[0].shape[0] <= 1 << 15 else np.int64
-    return [np.ascontiguousarray(t, dtype=dtype) for t in tables]
-
-
 def _slab_rows(code: int, n: int, cap: int, block) -> np.ndarray:
     """At most cap rows [code, a, b, c] at which the two n x n blocks of
     ``block(a)`` differ in cell (b, c).  a runs upward and each block is read
@@ -95,12 +88,12 @@ def _slab_rows(code: int, n: int, cap: int, block) -> np.ndarray:
         if count >= cap:
             break
         lhs, rhs = block(a)
-        bad = np.flatnonzero(lhs != rhs)
+        bad = np.flatnonzero(lhs != rhs)[:cap - count]
         if bad.size:
             b, c = np.divmod(bad, n)
             found.append(_pack(code, np.full_like(b, a), b, c))
             count += bad.size
-    return np.concatenate(found)[:cap] if found else _NO_ROWS
+    return np.concatenate(found) if found else _NO_ROWS
 
 
 def _fresh(values: np.ndarray, seen: np.ndarray) -> np.ndarray:
@@ -119,7 +112,6 @@ def generating_set(star) -> np.ndarray:
     outside the *-closure of S so far joins S, then the closure grows
     semi-naively, multiplying only the new elements with the members, so
     each product is taken at most twice and the cost is O(n^2)."""
-    star = np.asarray(star)
     n = star.shape[0]
     inside = np.zeros(n, dtype=bool)
     members = np.empty(0, dtype=np.int64)
@@ -176,7 +168,6 @@ def quandle_violations(star: np.ndarray, cap: int, gens=None) -> np.ndarray:
     returns, lets a right-invertible star prove self-distributivity with
     one n x n comparison per moving rho_s; without it, or when that proof
     fails, the slab scan runs."""
-    star = _narrow(star)[0]
     n = star.shape[0]
     idx = np.arange(n, dtype=np.int64)
 
@@ -210,7 +201,6 @@ def sing_violations(star, bar, r1, r2, cap: int, gens=None) -> np.ndarray:
     checked through.  Identities 4 and 5 are then checked, then that each
     moving rho_s preserves R1 (and so R2), then identity 3 at one element
     per Inn-orbit; without gens, or when a step fails, the slab scan runs."""
-    star, bar, r1, r2 = _narrow(star, bar, r1, r2)
     n = star.shape[0]
     idx = np.arange(n, dtype=np.int64)
 
@@ -220,8 +210,7 @@ def sing_violations(star, bar, r1, r2, cap: int, gens=None) -> np.ndarray:
     four = _pack(4, *np.divmod(np.flatnonzero(r2 != r1.ravel().take(flat))[:cap], n))
     rhs = r2.ravel().take(flat)
     del flat
-    pair = r1.astype(np.int64)
-    pair *= n
+    pair = np.multiply(r1, n, dtype=np.int64)
     pair += r2             # pair[a, b] indexes cell (R1(a,b), R2(a,b))
     five = _pack(5, *np.divmod(np.flatnonzero(star.ravel().take(pair) != rhs)[:cap], n))
     del pair, rhs
@@ -302,7 +291,7 @@ def enumerate_colorings(tables: dict, generators, plan) -> np.ndarray:
             if (op, pos) not in index:
                 index[op, pos] = _inverted_index(tables[op] if pos else tables[op].T)
             values, offsets = index[op, pos]
-            key = eval_rows(known, tables, cols) * n
+            key = np.multiply(eval_rows(known, tables, cols), n, dtype=np.int64)
             key += eval_rows(other, tables, cols)
             first = offsets[key]
             sizes = offsets[key + 1] - first

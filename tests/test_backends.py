@@ -2,14 +2,17 @@ import itertools
 import random
 
 import numpy as np
+import pytest
 
 from singquandles import corpus, kernels
 from singquandles.core import derive_bar
+from singquandles.diagram import SingularPD, pd_to_presentation
 from singquandles.errors import NotRightInvertibleError
 from singquandles.formulas import affine_singquandle
 from singquandles.polynomial import sqp
+from singquandles.presentation import _plan, counting_invariant
 
-from oracles import quandle_ok, shift_singquandle, star_closure, violation_rows
+from oracles import bar_by_columns, quandle_ok, shift_singquandle, star_closure, violation_rows
 
 
 def _random_tables(rng, n):
@@ -57,7 +60,7 @@ def _assert_rows_match_oracle(star, r1, r2, caps=(1, 3, 100)) -> bool:
     return bar is not None
 
 
-def test_violation_rows_match_oracle(backend):
+def test_violation_rows_match_oracle():
     rng = random.Random(11)
     singular_tables = 0
     for _ in range(120):
@@ -169,7 +172,7 @@ def test_violation_cap_is_per_axiom():
             assert np.count_nonzero(out[:, 0] == code) <= cap
 
 
-def test_numpy_frontier_keeps_aliased_columns_shared():
+def test_frontier_keeps_aliased_columns_shared():
     # a derive like c = b stores one array under two keys; repeating or
     # filtering the frontier must transform it once and keep it shared
     a, b = np.arange(3), np.arange(3, 6)
@@ -183,3 +186,50 @@ def test_numpy_frontier_keeps_aliased_columns_shared():
 def test_full_pipeline_sqp_matches_corpus():
     q = corpus.load("X-Z8-a")
     assert sqp(q).render() == corpus.expected()["X-Z8-a"]["sqp"]
+
+
+# Order 256 is the first tested order at which an int16 x * n wraps, so
+# every flat index the kernels build from int16 table entries must be int64.
+
+@pytest.fixture(scope="module")
+def affine256():
+    return affine_singquandle(256, 3, 2)
+
+
+def _link(cid):
+    obj = corpus.load(cid)
+    return pd_to_presentation(obj) if isinstance(obj, SingularPD) else obj
+
+
+@pytest.mark.parametrize("link, count", [("6_11l-pd", 512), ("K2", 256)])
+def test_counting_at_order_256(affine256, link, count):
+    assert counting_invariant(_link(link), affine256) == count
+
+
+@pytest.mark.parametrize("link", ["6_11l-pd", "K2"])
+def test_colorings_at_order_256_do_not_depend_on_table_dtype(affine256, link):
+    pres, q = _link(link), affine256
+    tables = {"*": q.star, "/": q.bar, "R1": q.r1, "R2": q.r2}
+    wide = {op: t.astype(np.int64) for op, t in tables.items()}
+    plan = _plan(pres)
+    rows = kernels.enumerate_colorings(tables, pres.generators, plan)
+    assert rows.tolist() == kernels.enumerate_colorings(wide, pres.generators, plan).tolist()
+
+
+def test_derive_bar_of_int16_star_at_order_256(affine256):
+    assert affine256.star.dtype == np.int16
+    assert derive_bar(affine256.star).tolist() == bar_by_columns(affine256.star.tolist())
+
+
+def test_violation_rows_at_order_256_do_not_depend_on_table_dtype(affine256):
+    q = affine256
+    r1 = q.r1.copy()
+    r1[255, 255] = (r1[255, 255] + 1) % 256
+    narrow = [q.star, q.bar, r1, q.r2]
+    wide = [t.astype(np.int64) for t in narrow]
+    gens = kernels.generating_set(q.star)
+    rows = kernels.sing_violations(*narrow, 100, gens).tolist()
+    assert rows == kernels.sing_violations(*wide, 100, gens).tolist()
+    assert [4, 255, 255, -1] in rows
+    assert (kernels.quandle_violations(q.star, 100).tolist()
+            == kernels.quandle_violations(wide[0], 100).tolist() == [])

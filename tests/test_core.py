@@ -150,11 +150,28 @@ def test_derive_bar_matches_column_loop():
     np.array([[0.0, 1.0], [1.0, 0.0]]),
     np.array([[0, 5], [1, 0]]),
     np.array([[0, -1], [1, 0]]),
+    # wraps to 3 in int16, so the range is checked before narrowing
+    np.array([[0, 0, 0, 0], [1, 1, 1, 1], [2, 2, 2, 2], [3, 3, 3, 2**16 + 3]], dtype=np.int32),
 ])
 def test_malformed_tables_rejected(bad):
-    ok = np.array([[0, 0], [1, 1]])
+    ok = np.repeat(np.arange(len(bad))[:, None], len(bad), axis=1)  # a*b = a
     with pytest.raises(MalformedTableError):
         validate_tables(bad, ok, ok)
+
+
+def test_order_above_int16_range_is_rejected_before_conversion():
+    n = 2**15 + 1
+    t = np.broadcast_to(np.int64(0), (n, n))  # no memory behind the n^2 entries
+    tracemalloc.start()
+    try:
+        with pytest.raises(MalformedTableError, match="order 32769"):
+            table_singquandle(n, t, t, t)
+        with pytest.raises(MalformedTableError, match="order 32769"):
+            validate_tables(t, t, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_table_singquandle_error_kinds():
@@ -248,6 +265,24 @@ def test_equality_and_hash(xz4):
 def test_tables_are_frozen(xz4):
     with pytest.raises(ValueError):
         xz4.star[0, 0] = 1
+
+
+def test_validated_tables_are_int16_and_read_only(xz4):
+    wide = [t.astype(np.uint64) for t in (xz4.star, xz4.r1, xz4.r2)]
+    for q in (xz4, affine_singquandle(8, 3, 2), table_singquandle(4, *wide)):
+        for t in (q.star, q.bar, q.r1, q.r2):
+            assert t.dtype == np.int16
+            assert t.flags.c_contiguous and not t.flags.writeable
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_direct_construction_agrees_with_validated_whatever_the_dtype(xz8a, dtype):
+    d = FiniteSingquandle(order=8, **{k: getattr(xz8a, k).astype(dtype)
+                                      for k in ("star", "bar", "r1", "r2")})
+    assert d == xz8a
+    assert hash(d) == hash(xz8a)
+    assert len({d, xz8a}) == 1
+    assert d.star.dtype == np.int16
 
 
 def test_iso_identity_and_relabel(xz4):
@@ -361,6 +396,32 @@ def test_validation_of_order_512_stays_under_16_mb():
     finally:
         tracemalloc.stop()
     assert peak < 16 << 20
+
+
+def test_invalid_tables_of_order_512_stay_under_10_mb():
+    # almost every cell of the first slab breaks identity 1, and only the
+    # capped rows are packed, not one row per broken cell
+    q = affine_singquandle(512, 3, 2)
+    zero = np.zeros((512, 512), dtype=np.int16)
+    tracemalloc.start()
+    try:
+        report = validate_tables(q.star, zero, zero)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(report.violations) == core.MAX_VIOLATIONS
+    assert peak < 10 << 20
+
+
+def test_affine_order_1024_holds_8_n2_bytes_and_peaks_under_60_mb():
+    tracemalloc.start()
+    try:
+        q = affine_singquandle(1024, 3, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(t.nbytes for t in (q.star, q.bar, q.r1, q.r2)) == 8 * 1024**2
+    assert peak < 60 << 20
 
 
 def test_build_takes_one_generating_set(monkeypatch, xz8a):
