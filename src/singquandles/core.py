@@ -20,13 +20,13 @@ for bar):
     4. R2(a,b)       == R1(b, a*b)
     5. R1(a,b)*R2(a,b) == R2(b, a*b)
 
-Validation does not visit all n^3 triples when it can avoid it.  It takes
-a generating set S of (X, *), checks 4 and 5 on all pairs, proves (iii),
-1 and 2 by checking that each x -> x*s with s in S preserves star and R1,
-and proves 3 at one element of each Inn-orbit (see
-:mod:`singquandles.kernels`).  When that proof fails it falls back to the
-full scan, which also supplies every violation witness.  A structure with
-many Inn-orbits, such as the trivial star a*b == a, still costs n^3.
+Validation derives bar once, which decides (ii), takes a generating set S
+of (X, *) and proves each n^3 identity on its own: (iii) when each x -> x*s
+with s in S preserves star, 1 (2) when each also preserves R1 (R2), and 3
+when 1 and 2 are proved and 3 holds at one element of each Inn-orbit (see
+:mod:`singquandles.kernels`).  Only an identity whose proof fails gets the
+full scan, which finds its witnesses; 4 and 5 are checked on all pairs.
+Many Inn-orbits, as for the trivial star a*b == a, still cost n^3.
 
 Elements may carry display labels (defaults are the decimal residues).
 All tables are int16, converted once when accepted (8 n^2 bytes for the
@@ -143,15 +143,14 @@ def _validate(star, r1, r2, n: int):
 
     violations: list[Violation] = []
     gens = kernels.generating_set(star)
-    q_bad = kernels.quandle_violations(star, MAX_VIOLATIONS, gens)
-    for code, witness in _rows(q_bad):
-        violations.append(Violation(_QUANDLE_AXIOMS[code], witness))
-    bar = None
-    if not any(v.axiom == "right-invertibility" for v in violations):
+    try:
         bar = derive_bar(star)
-        s_bad = kernels.sing_violations(star, bar, r1, r2, MAX_VIOLATIONS,
-                                        None if violations else gens)
-        for code, witness in _rows(s_bad):
+    except NotRightInvertibleError:
+        bar = None
+    for code, witness in _rows(kernels.quandle_violations(star, bar, MAX_VIOLATIONS, gens)):
+        violations.append(Violation(_QUANDLE_AXIOMS[code], witness))
+    if bar is not None:
+        for code, witness in _rows(kernels.sing_violations(star, bar, r1, r2, MAX_VIOLATIONS, gens)):
             violations.append(Violation(_SING_AXIOMS[code], witness))
 
     violations = violations[:MAX_VIOLATIONS]
@@ -161,7 +160,10 @@ def _validate(star, r1, r2, n: int):
 
 def validate_tables(star, r1, r2, order: Optional[int] = None) -> ValidationReport:
     """Exact check of all axioms; collects violations up to MAX_VIOLATIONS."""
-    n = order if order is not None else len(star)
+    try:
+        n = order if order is not None else len(star)
+    except TypeError:
+        raise MalformedTableError(f"star table has no rows: {type(star).__name__}") from None
     return _validate(star, r1, r2, n)[0]
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from singquandles import corpus, kernels
-from singquandles.core import derive_bar
+from singquandles.core import derive_bar, validate_tables
 from singquandles.diagram import SingularPD, pd_to_presentation
 from singquandles.errors import NotRightInvertibleError
 from singquandles.formulas import affine_singquandle
@@ -41,8 +41,8 @@ def _random_tables(rng, n):
 
 def _assert_rows_match_oracle(star, r1, r2, caps=(1, 3, 100)) -> bool:
     """The kernels' rows equal the oracle's, row for row (order within each
-    code and the per-code cap), both by the slab scan alone and with the
-    generating-set proof.  Returns whether star is right-invertible."""
+    code and the per-code cap), on every star, right-invertible or not.
+    Returns whether star is right-invertible."""
     try:
         bar = derive_bar(star)
     except NotRightInvertibleError:
@@ -51,12 +51,9 @@ def _assert_rows_match_oracle(star, r1, r2, caps=(1, 3, 100)) -> bool:
     for cap in caps:
         quandle, singular = ([list(r) for r in rows]
                              for rows in violation_rows(star, bar, r1, r2, cap))
-        assert kernels.quandle_violations(star, cap).tolist() == quandle
-        assert kernels.quandle_violations(star, cap, gens).tolist() == quandle
+        assert kernels.quandle_violations(star, bar, cap, gens).tolist() == quandle
         if bar is not None:
-            assert kernels.sing_violations(star, bar, r1, r2, cap).tolist() == singular
-            if not quandle:  # the proof's precondition
-                assert kernels.sing_violations(star, bar, r1, r2, cap, gens).tolist() == singular
+            assert kernels.sing_violations(star, bar, r1, r2, cap, gens).tolist() == singular
     return bar is not None
 
 
@@ -124,6 +121,36 @@ def test_proof_catches_corruption_off_orbit_representatives():
                 _assert_rows_match_oracle(*tables, caps=(100,))
 
 
+@pytest.fixture
+def scanned(monkeypatch):
+    """The codes of the slab scans that run, in call order."""
+    codes = []
+    slab_rows = kernels._slab_rows
+
+    def recording(code, *args):
+        codes.append(code)
+        return slab_rows(code, *args)
+    monkeypatch.setattr(kernels, "_slab_rows", recording)
+    return codes
+
+
+@pytest.mark.parametrize("n, t, s", [(8, 3, 2), (9, 2, 4), (12, 5, 1)])
+def test_each_identity_is_proved_on_its_own(scanned, n, t, s):
+    # R1 = R2 = star breaks identities 4 and 5, but every rho_s preserves
+    # all three tables, so only identity 3 needs its scan
+    q = affine_singquandle(n, t, s)
+    _assert_rows_match_oracle(q.star, q.star, q.star)
+    scanned.clear()
+    assert not validate_tables(q.star, q.star, q.star).ok
+    assert scanned == [3]
+    # one changed R1 cell leaves identity 2 proved, and identity 3 not
+    r1 = q.r1.copy()
+    r1[1, 2] = (r1[1, 2] + 1) % n
+    scanned.clear()
+    assert "singular-1" in {v.axiom for v in validate_tables(q.star, r1, q.r2).violations}
+    assert scanned == [1, 3]
+
+
 def test_proof_checks_every_orbit_and_right_invertibility():
     # R1 is preserved by every rho_s and identities 1, 2, 4 and 5 hold, but
     # identity 3 fails, though never at a = 0, the first of the orbit
@@ -133,7 +160,7 @@ def test_proof_checks_every_orbit_and_right_invertibility():
     r1[3, 0] = 3
     r2 = r1[np.arange(4)[None, :], star]  # R2(a, b) = R1(b, a*b)
     _assert_rows_match_oracle(star, r1, r2)
-    rows = kernels.sing_violations(star, derive_bar(star), r1, r2, 100)
+    rows = kernels.sing_violations(star, derive_bar(star), r1, r2, 100, kernels.generating_set(star))
     assert set(rows[:, 0]) == {3} and 0 not in rows[:, 1]
     # not right-invertible, yet the one moving rho_s preserves star
     star = np.array([[0, 0, 0], [1, 2, 1], [2, 0, 0]])
@@ -167,7 +194,7 @@ def test_generating_set_of_trivial_star_is_everything():
 def test_violation_cap_is_per_axiom():
     star = np.zeros((6, 6), dtype=np.int64)  # wildly invalid
     for cap in (1, 5, 100):
-        out = kernels.quandle_violations(star, cap, kernels.generating_set(star))
+        out = kernels.quandle_violations(star, None, cap, kernels.generating_set(star))
         for code in (0, 1, 2):
             assert np.count_nonzero(out[:, 0] == code) <= cap
 
@@ -231,5 +258,16 @@ def test_violation_rows_at_order_256_do_not_depend_on_table_dtype(affine256):
     rows = kernels.sing_violations(*narrow, 100, gens).tolist()
     assert rows == kernels.sing_violations(*wide, 100, gens).tolist()
     assert [4, 255, 255, -1] in rows
-    assert (kernels.quandle_violations(q.star, 100).tolist()
-            == kernels.quandle_violations(wide[0], 100).tolist() == [])
+    assert (kernels.quandle_violations(q.star, q.bar, 100, gens).tolist()
+            == kernels.quandle_violations(wide[0], wide[1], 100, gens).tolist() == [])
+
+
+def test_preimage_rows_at_order_256_do_not_depend_on_table_dtype(affine256):
+    # column 255 now takes the value 254 twice and 255 never; a star with no
+    # right inverse is the only one whose preimages are counted
+    star = affine256.star.copy()
+    star[255, 255] = 254
+    gens = kernels.generating_set(star)
+    rows = kernels.quandle_violations(star, None, 100, gens).tolist()
+    assert rows == kernels.quandle_violations(star.astype(np.int64), None, 100, gens).tolist()
+    assert [1, 255, 254, -1] in rows and [1, 255, 255, -1] in rows

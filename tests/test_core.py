@@ -83,8 +83,8 @@ def test_validation_catches_random_corruption():
 
 
 def test_singular_rows_of_a_right_invertible_non_quandle():
-    # the generating-set proof assumes the quandle axioms: on this star it
-    # would pass, so validation must scan to find the singular rows
+    # the moving rho_s do not preserve star here; a singular proof that did
+    # not check star itself would pass and miss the singular rows
     star = np.array([[0, 2, 0], [1, 1, 2], [2, 0, 1]])
     r1 = np.array([[0, 0, 2], [1, 1, 1], [0, 2, 2]])
     r2 = r1[np.arange(3)[None, :], star]
@@ -157,6 +157,11 @@ def test_malformed_tables_rejected(bad):
     ok = np.repeat(np.arange(len(bad))[:, None], len(bad), axis=1)  # a*b = a
     with pytest.raises(MalformedTableError):
         validate_tables(bad, ok, ok)
+
+
+def test_tables_without_rows_are_malformed():
+    with pytest.raises(MalformedTableError, match="star table"):
+        validate_tables(5, 5, 5)
 
 
 def test_order_above_int16_range_is_rejected_before_conversion():

@@ -165,7 +165,7 @@ def test_spurious_backend_rows_are_rejected(monkeypatch):
         enumerate_homs(pres, q)
 
 
-def test_enumeration_on_random_affine_targets(backend):
+def test_enumeration_on_random_affine_targets():
     rng = random.Random(5)
     pres = corpus.load("K2")
     for _ in range(5):
@@ -175,7 +175,7 @@ def test_enumeration_on_random_affine_targets(backend):
         assert enumerate_homs(pres, q) == brute_homs(pres, q)
 
 
-def test_relation_order_is_irrelevant(backend):
+def test_relation_order_is_irrelevant():
     pres = corpus.load("6_11l")
     q = corpus.load("X-Z8-a")
     flipped = SingPresentation(pres.generators, tuple(reversed(pres.relations)),
@@ -183,7 +183,7 @@ def test_relation_order_is_irrelevant(backend):
     assert enumerate_homs(flipped, q) == enumerate_homs(pres, q)
 
 
-def test_generator_order_changes_tuple_not_set(backend):
+def test_generator_order_changes_tuple_not_set():
     pres = P("generators: x, y\nx = R2(x, y)\nR1(x, y) * x = y\n")
     swapped = P("generators: y, x\nx = R2(x, y)\nR1(x, y) * x = y\n")
     q = corpus.load("X-Z8-a")
@@ -192,19 +192,19 @@ def test_generator_order_changes_tuple_not_set(backend):
     assert a == b
 
 
-def test_no_generators_yields_empty_hom(backend):
+def test_no_generators_yields_empty_hom():
     pres = SingPresentation((), ())
     q = corpus.load("X-Z4")
     assert enumerate_homs(pres, q) == [{}]
 
 
-def test_unconstrained_generators(backend):
+def test_unconstrained_generators():
     pres = P("generators: a, b\n")
     q = corpus.load("X-Z4")
     assert len(enumerate_homs(pres, q)) == 16
 
 
-def test_unsatisfiable_relation(backend):
+def test_unsatisfiable_relation():
     # R1(x,x) = x+1 in the shift structure, so x = R1(x,x) has no solutions
     pres = P("generators: x\nx = R1(x, x)\n")
     q = shift_singquandle(6, 1)
@@ -240,7 +240,7 @@ def test_phi_matches_recorded_values():
             exp[link]["phi"][target]
 
 
-def test_phi_multiplicities_sum_to_counting(backend):
+def test_phi_multiplicities_sum_to_counting():
     for link in LINKS:
         for target in TARGETS:
             pres, q = corpus.load(link), corpus.load(target)
