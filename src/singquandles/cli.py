@@ -13,7 +13,7 @@ import argparse
 import sys
 from typing import Optional
 
-from . import corpus
+from . import corpus, kernels
 from .core import FiniteSingquandle, find_isomorphism
 from .diagram import SingularPD, parse_pd, pd_to_presentation
 from .errors import ParseError, ValidationError
@@ -23,11 +23,10 @@ from .polynomial import PhiInvariant, SqPolynomial, sqp, ssqp
 from .presentation import (
     SingPresentation,
     _coloring_rows,
-    group_by_seed,
-    hom_image,
     parse_presentation,
     phi_ssqp,
     render_presentation,
+    seed_sets,
 )
 
 USAGE_ERROR, PARSE_ERROR, VALIDATION_ERROR = 2, 3, 4
@@ -130,12 +129,12 @@ def _cmd_color(args) -> int:
     if args.list:
         if args.format != "machine":
             print("generators: " + " ".join(pres.generators))
-        images = {seed: ",".join(q.labels[x] for x in sorted(
-                      hom_image(q, dict(zip(pres.generators, row)))))
-                  for seed, (row, _) in group_by_seed(rows).items()}
-        for row in rows.tolist():
+        seeds, which, _ = seed_sets(rows, q.order)
+        images = [",".join(q.labels[x] for x in row if x < q.order)
+                  for row in kernels.closures((q.star, q.r1, q.r2), seeds, q.order).tolist()]
+        for row, i in zip(rows.tolist(), which.tolist()):
             values = " ".join(q.labels[x] for x in row)
-            print(f"{values} -> {{{images[frozenset(row)]}}}")
+            print(f"{values} -> {{{images[i]}}}")
     return 0
 
 

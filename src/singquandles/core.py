@@ -44,7 +44,6 @@ import numpy as np
 
 from . import kernels
 from .errors import (
-    EmptySeedError,
     MalformedTableError,
     NotABijectionError,
     NotAQuandleError,
@@ -254,18 +253,10 @@ class FiniteSingquandle:
 
     def closure(self, seed: Iterable[int]) -> frozenset[int]:
         """Smallest subset containing seed and closed under star, R1, R2."""
-        members = {self._check_element(x) for x in seed}
-        if not members:
-            raise EmptySeedError("closure needs a nonempty seed")
-        while True:
-            idx = np.fromiter(members, dtype=np.int64)
-            grid = idx[:, None], idx[None, :]
-            new = set(self.star[grid].ravel().tolist())
-            new.update(self.r1[grid].ravel().tolist())
-            new.update(self.r2[grid].ravel().tolist())
-            if new <= members:
-                return frozenset(members)
-            members |= new
+        members = sorted({self._check_element(x) for x in seed})
+        row = kernels.closures((self.star, self.r1, self.r2), np.array([members], dtype=np.int64),
+                               self.order)[0]
+        return frozenset(row[row < self.order].tolist())
 
     def is_subsingquandle(self, subset: Iterable[int]) -> bool:
         """True iff nonempty and closed under the three operations.

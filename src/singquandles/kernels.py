@@ -1,5 +1,5 @@
-"""Integer-table kernels for the two hot loops: axiom validation and
-coloring enumeration.  numpy is the only implementation.
+"""Integer-table kernels for the hot loops: axiom validation, coloring
+enumeration and closure.  numpy is the only implementation.
 
 Validation proves each identity on its own in O(|S| n^2 + k n^2), for a
 generating set S of (X, *) and k Inn-orbits, and scans all n^3 triples
@@ -47,12 +47,19 @@ looks its values up in an inverted index of T, built once per (op, pos) in
 O(n^2): the v of each (A, B) pair form one bucket, so the frontier grows by
 the bucket sizes, not n-fold (an index nested-loop join; Selinger et al.,
 SIGMOD 1979).
+
+Closure takes many seed sets at once (:func:`closures`), as rows of member
+ids padded with the sentinel n.  Each round applies the three operations to
+every pair of members of every row still growing, in the spirit of
+bottom-up evaluation (Bancilhon and Ramakrishnan, SIGMOD 1986), and rows
+that stop growing leave.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .errors import EmptySeedError
 from .terms import eval_rows
 
 __all__ = [
@@ -61,7 +68,13 @@ __all__ = [
     "quandle_violations",
     "sing_violations",
     "enumerate_colorings",
+    "distinct_rows",
+    "closures",
 ]
+
+# rows x max(3 K^2, n) for the rows of K members that :func:`closures` takes
+# in one step: at most 8 MB of int64 products and a 1 MB block
+CLOSURE_BLOCK = 1 << 20
 
 _NO_ROWS = np.empty((0, 4), dtype=np.int64)
 
@@ -311,6 +324,104 @@ def enumerate_colorings(tables: dict, generators, plan) -> np.ndarray:
         if g in cols:  # every generator is bound unless the search emptied
             rows[:, k] = cols[g]
     return rows[np.lexsort(rows.T[::-1])]
+
+
+def distinct_rows(a: np.ndarray):
+    """The distinct rows of the 2-d array a in lexicographic order, the
+    index of each row of a among them, and how many rows of a each one has.
+    A lexsort and a mask of the rows that differ from their predecessor do
+    the work of ``np.unique(axis=0)``, which imports ``numpy.ma``."""
+    m = len(a)
+    order = np.lexsort(a.T[::-1]) if a.shape[1] else np.arange(m)
+    ranked = a[order]
+    new = np.ones(m, dtype=bool)
+    np.any(ranked[1:] != ranked[:-1], axis=1, out=new[1:])
+    inverse = np.empty(m, dtype=np.int64)
+    inverse[order] = np.cumsum(new) - 1
+    return ranked[new], inverse, np.bincount(inverse)
+
+
+def _members(tables, rows: np.ndarray, n: int) -> np.ndarray:
+    """An (r, n) boolean block marking, in row i, the members of rows[i]
+    and every product of two of them in each table."""
+    r = len(rows)
+    # a padding slot repeats the row's first member, whose products are
+    # products of members
+    rows = np.where(rows < n, rows, rows[:, :1])
+    pair = rows[:, :, None] * n + rows[:, None, :]
+    base = np.arange(r, dtype=np.int64)[:, None] * n
+    block = np.zeros(r * n, dtype=bool)
+    block[rows + base] = True
+    base = base[:, :, None]
+    for table in tables:
+        block[table.ravel().take(pair) + base] = True
+    return block.reshape(r, n)
+
+
+def closures(tables, seeds: np.ndarray, n: int) -> np.ndarray:
+    """The closures of the seed sets under the operations whose n x n tables
+    are given.  seeds is an (m, K) int array, one seed set per row, of
+    distinct ascending members padded on the right with n; the closures come
+    back in the same form and order, as wide as the largest of them.
+
+    Each round marks every member and every product of two members of each
+    growing row in an (rows, n) boolean block.  A row whose count did not
+    grow is closed and leaves; the others are read back from the block as
+    ascending padded rows.  Rows go CLOSURE_BLOCK // max(3 K^2, n) at a
+    time, at least one, so a step holds at most max(CLOSURE_BLOCK, 3 K^2)
+    products or cells whatever m is.
+    """
+    seeds = np.asarray(seeds, dtype=np.int64)
+    if not len(seeds):
+        return np.empty((0, 0), dtype=np.int64)
+    if seeds.shape[1] == 0 or (seeds[:, 0] >= n).any():
+        raise EmptySeedError("closure needs a nonempty seed")
+    closed = []  # (ids, rows, sizes) of the rows that left
+    ids, rows = np.arange(len(seeds)), seeds
+    sizes = np.count_nonzero(rows < n, axis=1)
+    while len(ids):
+        k = rows.shape[1]
+        step = max(1, CLOSURE_BLOCK // max(3 * k * k, n))
+        grown = []
+        for lo in range(0, len(ids), step):
+            part = slice(lo, lo + step)
+            block = _members(tables, rows[part], n)
+            count = np.count_nonzero(block, axis=1)
+            grew = count > sizes[part]
+            stay = ~grew
+            closed.append((ids[part][stay], rows[part][stay], count[stay]))
+            if grew.any():
+                grown.append((ids[part][grew], _read_rows(block[grew], count[grew], n),
+                              count[grew]))
+        if not grown:
+            break
+        ids, rows, sizes = _stack(grown, n)
+    ids, rows, _ = _stack(closed, n)
+    out = np.empty_like(rows)
+    out[ids] = rows
+    return out
+
+
+def _read_rows(block: np.ndarray, count: np.ndarray, n: int) -> np.ndarray:
+    """The marked columns of each row of block, ascending and padded with n;
+    count holds each row's number of marks."""
+    r, c = np.nonzero(block)  # row-major, so each row's columns ascend
+    rows = np.full((len(count), int(count.max())), n, dtype=np.int64)
+    rows[r, np.arange(len(c)) - np.repeat(np.cumsum(count) - count, count)] = c
+    return rows
+
+
+def _stack(pieces, n: int):
+    """One (ids, rows, sizes) triple from several, the rows padded with n
+    to the largest size; columns past a row's size hold n."""
+    sizes = np.concatenate([p[2] for p in pieces])
+    rows = np.full((len(sizes), int(sizes.max())), n, dtype=np.int64)
+    start = 0
+    for _, part, size in pieces:
+        w = min(rows.shape[1], part.shape[1])
+        rows[start:start + len(size), :w] = part[:, :w]
+        start += len(size)
+    return np.concatenate([p[0] for p in pieces]), rows, sizes
 
 
 def available_backends() -> tuple[str, ...]:

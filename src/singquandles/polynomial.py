@@ -22,6 +22,9 @@ from __future__ import annotations
 from collections import Counter
 from typing import Iterable, Mapping, Sequence, Union
 
+import numpy as np
+
+from . import kernels
 from .core import FiniteSingquandle
 from .errors import NotASubsingquandleError
 
@@ -177,31 +180,40 @@ class PhiInvariant:
         return " + ".join(f"{m}*u^{{{p.render()}}}" for p, m in self._entries)
 
 
-def _phi_of_images(rows: Sequence[Sequence[int]],
-                   images: Iterable[tuple[Iterable[int], int]]) -> PhiInvariant:
-    """phi from (image, number of colorings) pairs; rows as for _subset_poly.
+def _phi_of_closures(profiles: np.ndarray, members: np.ndarray, counts) -> PhiInvariant:
+    """phi from subsingquandles, each with its number of colorings.
+    profiles is ``q.profiles()`` of the ambient structure, taken once by the
+    caller, and members holds one subsingquandle per row, ascending and
+    padded with the order n, as :func:`kernels.closures` returns them.
 
-    A polynomial is fixed by the multiset of its members' profile rows, so
-    the counts are summed per multiset and each multiset gets one
-    polynomial: over the trivial star of order 64, 2080 images share 2.
+    A polynomial is fixed by the multiset of its members' profile rows.  So
+    each element gets a kind, the index of its profile row among the
+    distinct ones, each row of members becomes its sorted row of kinds
+    (padding last), the counts are summed per such key and each distinct key
+    gets one polynomial: over the trivial star of order 64, 2080 images
+    share 2.
     """
-    ids: dict[tuple[int, ...], int] = {}
-    kind = [ids.setdefault(tuple(row), len(ids)) for row in rows]
-    counts: Counter[tuple[int, ...]] = Counter()
-    first: dict[tuple[int, ...], Iterable[int]] = {}
-    for image, m in images:
-        key = tuple(sorted(kind[x] for x in image))
-        counts[key] += m
-        first.setdefault(key, image)
-    return PhiInvariant([(_subset_poly(rows, first[key]), m) for key, m in counts.items()])
+    kinds, kind, _ = kernels.distinct_rows(profiles)
+    keys = np.append(kind, len(kinds))[members]
+    keys.sort(axis=1)
+    keys, which, _ = kernels.distinct_rows(keys)
+    totals = np.zeros(len(keys), dtype=np.int64)
+    np.add.at(totals, which, counts)
+    kinds = kinds.tolist()
+    return PhiInvariant([(SqPolynomial(Counter(tuple(kinds[k]) for k in key if k < len(kinds))
+                                       .items()), m)
+                         for key, m in zip(keys.tolist(), totals.tolist())])
 
 
 def phi_from_images(q: FiniteSingquandle, images: Iterable[Iterable[int]]) -> PhiInvariant:
     """Build phi from explicit coloring images; each must be a subsingquandle."""
     checked = []
     for i, image in enumerate(images):
-        members = {int(x) for x in image}
+        members = sorted({int(x) for x in image})
         if not q.is_subsingquandle(members):
-            raise NotASubsingquandleError(f"image #{i} {sorted(members)} is not a subsingquandle")
-        checked.append((members, 1))
-    return _phi_of_images(q.profiles().tolist(), checked)
+            raise NotASubsingquandleError(f"image #{i} {members} is not a subsingquandle")
+        checked.append(members)
+    padded = np.full((len(checked), max(map(len, checked), default=0)), q.order, dtype=np.int64)
+    for row, members in zip(padded, checked):
+        row[:len(members)] = members
+    return _phi_of_closures(q.profiles(), padded, np.ones(len(checked), dtype=np.int64))

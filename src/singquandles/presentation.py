@@ -26,10 +26,13 @@ File format::
 The name line is optional; each remaining line is one ``lhs = rhs``
 relation in the term grammar of :mod:`singquandles.terms`.
 
-phi (:func:`phi_ssqp`) needs one closure per orbit of the colorings' seed
-sets under the maps x -> x*s, s in the target's generating set: these maps
-are automorphisms, so they carry colorings to colorings and images to
-images of the same ssqp.
+phi (:func:`phi_ssqp`) works on arrays of seed sets, a coloring's seed set
+being its set of generator values, which fixes its image.  The colorings
+are grouped by seed set (:func:`seed_sets`), and the seed sets into orbits
+under the maps x -> x*s, s in the target's generating set: these maps are
+automorphisms, so they carry colorings to colorings and images to images of
+the same ssqp.  One call of :func:`kernels.closures` then closes one seed
+set per orbit.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ import numpy as np
 from . import kernels
 from .core import FiniteSingquandle
 from .errors import ParseError, UnboundGeneratorError
-from .polynomial import PhiInvariant, _phi_of_images
+from .polynomial import PhiInvariant, _phi_of_closures
 from .terms import Apply, Gen, Term, eval_rows, generators_of, parse_term, render_term
 
 
@@ -238,50 +241,68 @@ def hom_image(q: FiniteSingquandle, hom: dict[str, int]) -> frozenset[int]:
     return q.closure(hom.values())
 
 
-def group_by_seed(rows: np.ndarray) -> dict[frozenset[int], list]:
-    """Coloring rows grouped by their set of generator values, which alone
-    determines the image: seed set -> [first row as a list, number of rows]."""
-    groups: dict[frozenset[int], list] = {}
-    for row in rows.tolist():
-        seed = frozenset(row)
-        if seed in groups:
-            groups[seed][1] += 1
-        else:
-            groups[seed] = [row, 1]
-    return groups
+def seed_sets(rows: np.ndarray, n: int):
+    """The distinct seed sets of coloring rows over an order-n target, with
+    the seed set of each row and the number of rows that have each.  The
+    seed set of a coloring, its set of generator values, alone determines
+    its image.  Seed sets are ascending rows padded with n, as
+    :func:`kernels.closures` takes them, in lexicographic order."""
+    return kernels.distinct_rows(_canonical(rows, n))
 
 
-def _seed_orbits(groups: dict[frozenset[int], list], rhos: np.ndarray):
-    """The seed sets of ``group_by_seed`` split into orbits under the maps
-    whose rows are rhos: yields each orbit's first seed set, in group order,
-    with the orbit's number of colorings.
+def _canonical(rows: np.ndarray, n: int) -> np.ndarray:
+    """Each row as its set: sorted, with repeats replaced by n, sorted again."""
+    rows = np.sort(rows, axis=1)
+    tail = rows[:, 1:]
+    tail[tail == rows[:, :-1]] = n
+    rows.sort(axis=1)
+    return rows
+
+
+def _orbit_labels(seeds: np.ndarray, rhos: np.ndarray, n: int) -> np.ndarray:
+    """For each seed set of :func:`seed_sets`, the index of the least seed
+    set of its orbit under the maps whose rows are rhos.
 
     The seed set of a coloring h moves to the seed set of rho o h, which
     is again a coloring when rho is an automorphism; a seed set whose image
-    no coloring has means that premise failed, and raises.  The inverse of
-    a permutation of a finite set is one of its powers, so following the
-    images alone reaches the whole orbit.
+    no coloring has means that premise failed, and raises.  The orbits are
+    the components of the graph joining each seed set to its images, found
+    by hooking and pointer jumping (Shiloach and Vishkin, J. Algorithms
+    1982): every label points to a root, a seed set that is its own label;
+    each round, the larger root of each edge whose ends have different
+    roots points to the least root it meets, and then every label becomes
+    its label's label until nothing changes.
     """
-    maps = rhos.tolist()
-    done: set[frozenset[int]] = set()
-    for seed in groups:
-        if seed in done:
-            continue
-        done.add(seed)
-        orbit = [seed]
-        for here in orbit:
-            for rho in maps:
-                there = frozenset([rho[x] for x in here])
-                if there in done:
-                    continue
-                if there not in groups:
-                    raise RuntimeError(
-                        f"seed set {sorted(here)} maps to {sorted(there)}, which no "
-                        f"coloring has: a map x -> x*s with s in the generating set "
-                        f"is not an automorphism")
-                done.add(there)
-                orbit.append(there)
-        yield seed, sum(groups[t][1] for t in orbit)
+    d = len(seeds)
+    label = np.arange(d)
+    if not len(rhos) or not d:
+        return label
+    maps = np.full((len(rhos), n + 1), n, dtype=np.int64)
+    maps[:, :n] = rhos
+    images = _canonical(maps[:, seeds].reshape(len(rhos) * d, seeds.shape[1]), n)
+    _, group, _ = kernels.distinct_rows(np.concatenate([seeds, images]))
+    seed_of = np.full(d + len(images), -1)
+    seed_of[group[:d]] = label
+    there = seed_of[group[d:]]
+    if (there < 0).any():
+        bad = int(np.argmax(there < 0))
+        here, image = seeds[bad % d], images[bad]
+        raise RuntimeError(
+            f"seed set {here[here < n].tolist()} maps to {image[image < n].tolist()}, which "
+            f"no coloring has: a map x -> x*s with s in the generating set is not an "
+            f"automorphism")
+    here = np.tile(label, len(rhos))
+    while True:
+        a, b = label[here], label[there]
+        apart = a != b
+        if not apart.any():
+            return label
+        np.minimum.at(label, np.maximum(a, b)[apart], np.minimum(a, b)[apart])
+        while True:
+            up = label[label]
+            if np.array_equal(up, label):
+                break
+            label = up
 
 
 def phi_ssqp(pres: SingPresentation, q: FiniteSingquandle) -> PhiInvariant:
@@ -290,17 +311,19 @@ def phi_ssqp(pres: SingPresentation, q: FiniteSingquandle) -> PhiInvariant:
     Each x -> x*s with s in the generating set of q is an automorphism g,
     so g o h is a coloring whenever h is, its image is g applied to the
     image of h, and the ambient profiles, hence ssqp, do not change.  The
-    seed sets of the colorings are therefore grouped into orbits under the
-    maps that move something, and one closure per orbit, of its first
-    coloring, carries the orbit's coloring count.  The ambient profiles are
+    colorings are therefore grouped by seed set, the seed sets into orbits
+    under the maps that move something, and one batch of closures, one per
+    orbit, goes through :func:`kernels.closures`.  The ambient profiles are
     taken once per call and one polynomial is built per distinct multiset
-    of profile rows; PhiInvariant merges equal polynomials itself.
+    of profile rows.
     """
-    groups = group_by_seed(_coloring_rows(pres, q))
-    rhos = kernels.moving_rhos(q.star, q.generators())
-    counts = [(hom_image(q, dict(zip(pres.generators, groups[seed][0]))), m)
-              for seed, m in _seed_orbits(groups, rhos)]
-    return _phi_of_images(q.profiles().tolist(), counts)
+    seeds, _, counts = seed_sets(_coloring_rows(pres, q), q.order)
+    label = _orbit_labels(seeds, kernels.moving_rhos(q.star, q.generators()), q.order)
+    reps = np.flatnonzero(label == np.arange(len(label)))
+    totals = np.zeros(len(label), dtype=np.int64)
+    np.add.at(totals, label, counts)
+    images = kernels.closures((q.star, q.r1, q.r2), seeds[reps], q.order)
+    return _phi_of_closures(q.profiles(), images, totals[reps])
 
 
 def counting_invariant(pres: SingPresentation, q: FiniteSingquandle) -> int:

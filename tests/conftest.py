@@ -1,6 +1,6 @@
 import pytest
 
-from singquandles import corpus
+from singquandles import corpus, kernels
 from singquandles.core import FiniteSingquandle
 
 
@@ -43,4 +43,18 @@ def structure_calls(monkeypatch):
             calls[_name] += 1
             return _orig(self, *args)
         monkeypatch.setattr(FiniteSingquandle, name, counted)
+    return calls
+
+
+@pytest.fixture
+def closure_rows(monkeypatch):
+    """The number of seed rows handed to kernels.closures, over all calls
+    from the moment the fixture is set up, under the key "rows"."""
+    calls = {"rows": 0}
+    orig = kernels.closures
+
+    def counted(tables, seeds, n):
+        calls["rows"] += len(seeds)
+        return orig(tables, seeds, n)
+    monkeypatch.setattr(kernels, "closures", counted)
     return calls

@@ -9,6 +9,8 @@ from singquandles.formulas import affine_singquandle
 from singquandles.presentation import _plan, parse_presentation, render_presentation
 from singquandles.terms import MAX_DEPTH
 
+from oracles import naive_closure
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -217,6 +219,22 @@ def test_color_list_rows(capsys):
     assert lines[1] == "generators: x y z"
     assert len(lines) == 18
     assert "2 2 2 -> {2}" in out
+
+
+@pytest.mark.parametrize("link", ("1_1l", "1_1l-2gen", "1_1l-pd", "6_11l", "6_11l-pd",
+                                  "K1", "K1-pd", "K2", "K2-pd"))
+@pytest.mark.parametrize("target", ("X-Z4", "Y-Z4", "X-Z8-a", "X-Z8-b"))
+def test_color_list_images_are_closures(capsys, link, target):
+    code, out, _ = run(capsys, "color", f"corpus:{link}", f"corpus:{target}", "--list",
+                       "--format", "machine")
+    q = corpus.load(target)
+    count, *lines = out.splitlines()
+    assert code == 0 and len(lines) == int(count) > 0
+    for line in lines:
+        values, image = line.split(" -> ")
+        seed = [q.index_of(v) for v in values.split()]
+        want = ",".join(q.labels[x] for x in sorted(naive_closure(q, seed)))
+        assert image == f"{{{want}}}"
 
 
 def test_color_accepts_pd_input(capsys):

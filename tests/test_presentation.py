@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 import tracemalloc
@@ -8,7 +9,7 @@ import pytest
 from singquandles import corpus, kernels
 from singquandles.core import FiniteSingquandle, table_singquandle
 from singquandles.diagram import SingularPD, pd_to_presentation
-from singquandles.errors import ParseError
+from singquandles.errors import EmptySeedError, ParseError
 from singquandles.formulas import affine_singquandle
 from singquandles.polynomial import PhiInvariant, ssqp
 from singquandles.presentation import (
@@ -80,7 +81,7 @@ def test_enumeration_matches_brute_force(link, target, backend):
 
 @pytest.mark.parametrize("link", ("1_1l-pd", "K1-pd", "K2-pd"))
 @pytest.mark.parametrize("target", ("X-Z4", "Y-Z4"))
-def test_pd_enumeration_matches_brute_force(link, target, backend):
+def test_pd_enumeration_matches_brute_force(link, target):
     pres = pd_to_presentation(corpus.load(link))
     q = corpus.load(target)
     assert enumerate_homs(pres, q) == brute_homs(pres, q)
@@ -196,6 +197,8 @@ def test_no_generators_yields_empty_hom():
     pres = SingPresentation((), ())
     q = corpus.load("X-Z4")
     assert enumerate_homs(pres, q) == [{}]
+    with pytest.raises(EmptySeedError):  # its image would be empty
+        phi_ssqp(pres, q)
 
 
 def test_unconstrained_generators():
@@ -211,6 +214,14 @@ def test_unsatisfiable_relation():
     assert enumerate_homs(pres, q) == []
     assert counting_invariant(pres, q) == 0
     assert phi_ssqp(pres, q) == PhiInvariant([])
+    assert phi_ssqp(pres, q).render() == "0"
+    # x = R1(x, x) = 1 and x = R2(x, x) = 0 over the dihedral star of order
+    # 3, whose x -> x*1 moves: no seed sets for the orbits to take
+    star = np.array([[0, 2, 1], [2, 1, 0], [1, 0, 2]])
+    q = FiniteSingquandle(order=3, star=star, bar=star.copy(), r1=np.ones((3, 3), dtype=int),
+                          r2=np.zeros((3, 3), dtype=int), gens=np.array([1]))
+    pres = P("generators: x\nx = R1(x, x)\nx = R2(x, x)\n")
+    assert counting_invariant(pres, q) == 0
     assert phi_ssqp(pres, q).render() == "0"
 
 
@@ -316,6 +327,57 @@ def test_phi_equals_per_coloring_definition(link, target):
     assert phi_ssqp(pres, q) == _phi_per_coloring(pres, q)
 
 
+def _random_tables(seed: int):
+    # closure needs no axiom: tables that mostly return an operand, with a
+    # few random cells and a diagonal that moves each even element; R2 is
+    # not fixed by star and R1, as identity 4 fixes it in a singquandle
+    rng = np.random.default_rng(seed)
+    a, b = np.indices((9, 9))
+    tables = np.where(rng.random((3, 9, 9)) < 0.5, a, b)
+    tables = np.where(rng.random((3, 9, 9)) < 0.1, rng.integers(0, 9, (3, 9, 9)), tables)
+    even = np.arange(0, 9, 2)
+    tables[:, even, even] = (even + 1) % 9
+    return FiniteSingquandle(order=9, star=tables[0], bar=tables[0], r1=tables[1], r2=tables[2])
+
+
+CLOSURE_TARGETS = {
+    **BUILT_TARGETS,
+    "X-Z8-a": lambda: corpus.load("X-Z8-a"),
+    "X-Z8-b": lambda: corpus.load("X-Z8-b"),
+    "dihedral(12)": lambda: affine_singquandle(12, 11, 2),
+    **{f"random-{seed}": lambda seed=seed: _random_tables(seed) for seed in range(2)},
+}
+
+
+# a block of 64 cells holds 2 rows of 3 members (3 * 3**2 products each) and
+# 1 row of 4 or more, so rows split across blocks and leave in different rounds
+@pytest.mark.parametrize("block", [kernels.CLOSURE_BLOCK, 64])
+@pytest.mark.parametrize("target", CLOSURE_TARGETS)
+def test_batched_closures_match_oracle(monkeypatch, target, block):
+    monkeypatch.setattr(kernels, "CLOSURE_BLOCK", block)
+    q = CLOSURE_TARGETS[target]()
+    n = q.order
+    seeds = [seed for k in (1, 2, 3) for seed in itertools.combinations(range(n), k)]
+    rows = np.array([[*seed] + [n] * (3 - len(seed)) for seed in seeds])
+    got = kernels.closures((q.star, q.r1, q.r2), rows, n).tolist()
+    want = [sorted(naive_closure(q, seed)) for seed in seeds]
+    width = max(map(len, want))
+    assert got == [members + [n] * (width - len(members)) for members in want]
+
+
+def test_phi_takes_little_memory_over_a_large_trivial_target():
+    # 65,536 colorings and 32,896 seed sets, each its own closure
+    pres, q = corpus.load("1_1l"), affine_singquandle(256, 1, 0)
+    tracemalloc.start()
+    try:
+        phi = phi_ssqp(pres, q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert phi.counting() == 256 ** 2
+    assert peak < 16 << 20
+
+
 def test_phi_counts_images_that_share_a_polynomial():
     # 144 colorings, 28 distinct images but only 6 distinct polynomials: a
     # merge that keys counts by polynomial and overwrites would lose colorings
@@ -331,13 +393,14 @@ def test_phi_counts_images_that_share_a_polynomial():
 
 @pytest.mark.parametrize("link, target", [("1_1l", "X-Z8-a"), ("6_11l", "X-Z8-a"),
                                           ("K1-pd", "X-Z8-b")])
-def test_phi_takes_one_profile_table_and_one_closure_per_seed_set(structure_calls, link, target):
+def test_phi_takes_one_profile_table_and_one_closure_per_seed_set(structure_calls, closure_rows,
+                                                                  link, target):
     pres, q = _link(link), corpus.load(target)
     seeds = {frozenset(h.values()) for h in enumerate_homs(pres, q)}
     orbits = seed_orbits(q.star.tolist(), seeds)
     phi_ssqp(pres, q)
     assert structure_calls["profiles"] == 1
-    assert structure_calls["closure"] == len(orbits) <= len(seeds)
+    assert closure_rows["rows"] == len(orbits) <= len(seeds)
 
 
 # seed sets of the colorings and their Inn-orbits, counted independently
@@ -348,25 +411,25 @@ def test_phi_takes_one_profile_table_and_one_closure_per_seed_set(structure_call
     ("1_1l", (64, 3, 2), 160, 6),
     ("1_1l", (64, 1, 0), 2080, 2080),  # trivial star: every rho_s is the identity
 ])
-def test_phi_takes_one_closure_per_inn_orbit(structure_calls, link, target, n_seeds, n_orbits):
+def test_phi_takes_one_closure_per_inn_orbit(closure_rows, link, target, n_seeds, n_orbits):
     pres, q = corpus.load(link), affine_singquandle(*target)
     seeds = {frozenset(h.values()) for h in enumerate_homs(pres, q)}
     assert (len(seeds), len(seed_orbits(q.star.tolist(), seeds))) == (n_seeds, n_orbits)
     phi = phi_ssqp(pres, q)
-    assert structure_calls["closure"] == n_orbits
+    assert closure_rows["rows"] == n_orbits
     assert phi == _phi_per_coloring(pres, q)
 
 
-def test_phi_of_a_structure_without_generators_closes_every_seed_set(structure_calls):
+def test_phi_of_a_structure_without_generators_closes_every_seed_set(closure_rows):
     # built directly, so nothing vouches that any x -> x*s is an
     # automorphism, and phi takes no orbits
     q = affine_singquandle(12, 11, 2)
     bare = FiniteSingquandle(order=q.order, star=q.star, bar=q.bar, r1=q.r1, r2=q.r2)
     pres = corpus.load("1_1l")
     want = _phi_per_coloring(pres, q)
-    structure_calls["closure"] = 0
+    closure_rows["rows"] = 0
     assert phi_ssqp(pres, bare) == want
-    assert structure_calls["closure"] == 70
+    assert closure_rows["rows"] == 70
 
 
 def test_phi_rejects_a_generator_that_is_not_an_automorphism():
