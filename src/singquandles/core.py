@@ -20,13 +20,16 @@ for bar):
     4. R2(a,b)       == R1(b, a*b)
     5. R1(a,b)*R2(a,b) == R2(b, a*b)
 
-Validation derives bar once, which decides (ii), takes a generating set S
-of (X, *) and proves each n^3 identity on its own: (iii) when each x -> x*s
-with s in S preserves star, 1 (2) when each also preserves R1 (R2), and 3
-when 1 and 2 are proved and 3 holds at one element of each Inn-orbit (see
-:mod:`singquandles.kernels`).  Only an identity whose proof fails gets the
-full scan, which finds its witnesses; 4 and 5 are checked on all pairs.
-Many Inn-orbits, as for the trivial star a*b == a, still cost n^3.
+Validation counts preimages once, which decides (ii) and gives bar, takes
+a generating set S of (X, *) and proves each n^3 identity on its own:
+(iii) when each x -> x*s with s in S preserves star, 1 (2) when each also
+preserves R1 (R2), and 3 when 1 and 2 are proved and 3 holds at one element
+of each Inn-orbit (see :mod:`singquandles.kernels`).  The quandle kernel
+proves once that these maps preserve star and hands them to the singular
+kernel.  Only an identity whose proof fails gets the full scan, which finds
+its witnesses; 4 and 5 are checked on all pairs.  Many Inn-orbits still
+cost n^3: the trivial star a*b == a, or a disjoint union of many small
+quandles with a*b == a across components.
 
 Elements may carry display labels (defaults are the decimal residues).
 All tables are int16, converted once when accepted (8 n^2 bytes for the
@@ -48,7 +51,6 @@ from .errors import (
     NotABijectionError,
     NotAQuandleError,
     NotASingquandleError,
-    NotRightInvertibleError,
     UnknownLabelError,
 )
 
@@ -109,23 +111,6 @@ def _as_table(obj, n: int, name: str) -> np.ndarray:
     return src.astype(TABLE_DTYPE, order="C")
 
 
-def derive_bar(star: np.ndarray) -> np.ndarray:
-    """Right inverse of star: bar[z, b] is the unique a with a*b == z."""
-    n = star.shape[0]
-    cols = np.arange(n)
-    # counts[z, b]: how many a have a*b == z, from int64 keys; entries of n
-    # or more fall past the n*n kept, leaving a zero count in their column
-    key = np.multiply(star, n, dtype=np.int64)
-    key += cols
-    counts = np.bincount(key.ravel(), minlength=n * n)[:n * n].reshape(n, n)
-    bad = (counts != 1).any(axis=0)
-    if bad.any():
-        raise NotRightInvertibleError(int(bad.argmax()))
-    bar = np.empty_like(star)
-    bar[star, cols] = cols[:, None]
-    return bar
-
-
 def _rows(arr: np.ndarray) -> tuple[Violation, ...]:
     return tuple((code, tuple(v for v in w if v != -1)) for code, *w in arr.tolist())
 
@@ -140,16 +125,11 @@ def _validate(star, r1, r2, n: int):
     r1 = _as_table(r1, n, "R1")
     r2 = _as_table(r2, n, "R2")
 
-    violations: list[Violation] = []
     gens = kernels.generating_set(star)
-    try:
-        bar = derive_bar(star)
-    except NotRightInvertibleError:
-        bar = None
-    for code, witness in _rows(kernels.quandle_violations(star, bar, MAX_VIOLATIONS, gens)):
-        violations.append(Violation(_QUANDLE_AXIOMS[code], witness))
+    rows, bar, autos = kernels.quandle_violations(star, MAX_VIOLATIONS, gens)
+    violations = [Violation(_QUANDLE_AXIOMS[code], witness) for code, witness in _rows(rows)]
     if bar is not None:
-        for code, witness in _rows(kernels.sing_violations(star, bar, r1, r2, MAX_VIOLATIONS, gens)):
+        for code, witness in _rows(kernels.sing_violations(star, bar, r1, r2, MAX_VIOLATIONS, autos)):
             violations.append(Violation(_SING_AXIOMS[code], witness))
 
     violations = violations[:MAX_VIOLATIONS]

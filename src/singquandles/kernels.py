@@ -16,7 +16,15 @@ are all preserved, identity 3 is invariant under the diagonal action of
 Inn(X), which the rho_s generate, so one n x n slab per Inn-orbit proves
 it.  Identities 4 and 5 are n^2 checks.  :func:`generating_set` finds S
 greedily.  The worst case stays n^3: a star with many Inn-orbits, such as
-the trivial star x*y = x, where |S| = n and every orbit is one element.
+the trivial star x*y = x, where |S| = n and every orbit is one element,
+or a disjoint union of many small non-trivial quandles with x*y = x
+across components, where the columns are about n distinct maps and the
+orbits about n/3 for components of order 3.
+
+Each step runs once: :func:`quandle_violations` counts preimages, which
+gives the right-invertibility rows or bar, and proves that the moving rho_s
+preserve star; :func:`sing_violations` takes those maps, or None.  The
+Inn-orbits come from :func:`orbit_labels`, which also groups phi's seed sets.
 
 A proof decides only whether an identity's scan runs, so the reported rows
 never depend on it.  The scans of the n^3 identities run in slabs over
@@ -69,6 +77,8 @@ __all__ = [
     "sing_violations",
     "enumerate_colorings",
     "distinct_rows",
+    "canonical_sets",
+    "orbit_labels",
     "closures",
 ]
 
@@ -154,62 +164,49 @@ def _preserved(rhos: np.ndarray, table: np.ndarray) -> bool:
     return all(np.array_equal(table[rho].take(rho, axis=1), rho.take(table)) for rho in rhos)
 
 
-def _orbit_reps(rhos: np.ndarray, n: int):
-    """The least element of each orbit of the group that the permutations
-    in rhos generate.  The inverse of a permutation of a finite set is one
-    of its powers, so the images alone reach every orbit."""
-    if not len(rhos):
-        return range(n)
-    seen = np.zeros(n, dtype=bool)
-    reps = []
-    for x in range(n):
-        if seen[x]:
-            continue
-        reps.append(x)
-        seen[x] = True
-        frontier = np.array([x])
-        while frontier.size:
-            frontier = _fresh(rhos[:, frontier].ravel(), seen)
-    return reps
+def quandle_violations(star: np.ndarray, cap: int, gens):
+    """Rows of the quandle axioms, at most cap per axiom, with bar, the right
+    inverse of star (None when it has none), and the moving rho_s of
+    ``gens``, a generating set of (X, *), when they are proved to preserve
+    star (None when not).
 
-
-def quandle_violations(star: np.ndarray, bar, cap: int, gens) -> np.ndarray:
-    """Rows of the quandle axioms, at most cap per axiom.
-
-    bar is the right inverse of star, or None when it has none, and only then
-    are preimages counted.  With bar, ``gens``, a generating set of (X, *),
-    proves self-distributivity by one n x n comparison per moving rho_s;
-    when that proof fails, the slab scan runs."""
+    One preimage count decides (ii): its code-1 rows, or bar when every
+    count is 1.  Given bar, one n x n comparison per moving rho_s proves
+    self-distributivity; when that proof fails, the slab scan runs."""
     n = star.shape[0]
     idx = np.arange(n, dtype=np.int64)
 
     idem = _pack(0, np.flatnonzero(star[idx, idx] != idx)[:cap])
 
-    # flat[x, y] = y*n + x*y indexes cell (y, x*y) of an n x n table
+    # flat[x, y] = y*n + x*y indexes cell (y, x*y) of an n x n table, so
+    # counts[y, z] = number of x with x*y = z; each must be 1
     flat = star + idx * n
-
-    inv = _NO_ROWS
-    if bar is None:  # counts[y, z] = number of x with x*y = z; each must be 1
-        counts = np.bincount(flat.ravel(), minlength=n * n)
-        inv = _pack(1, *np.divmod(np.flatnonzero(counts != 1)[:cap], n))
-        del counts
+    bad = np.flatnonzero(np.bincount(flat.ravel(), minlength=n * n) != 1)
+    inv = _pack(1, *np.divmod(bad[:cap], n))
+    bar = autos = None
+    if not bad.size:
+        bar = np.empty_like(star)
+        bar[star, idx] = idx[:, None]
+        rhos = moving_rhos(star, gens)
+        autos = rhos if _preserved(rhos, star) else None
 
     def distributive(a):  # (a*b)*c == (a*c)*(b*c)
         m = star[star[a]]  # m[b, c] = (a*b)*c
         return m, m.ravel().take(flat)
 
-    proved = bar is not None and _preserved(moving_rhos(star, gens), star)
-    dist = _NO_ROWS if proved else _slab_rows(2, n, cap, distributive)
-    return np.concatenate([idem, inv, dist])
+    dist = _NO_ROWS if autos is not None else _slab_rows(2, n, cap, distributive)
+    return np.concatenate([idem, inv, dist]), bar, autos
 
 
-def sing_violations(star, bar, r1, r2, cap: int, gens) -> np.ndarray:
+def sing_violations(star, bar, r1, r2, cap: int, autos) -> np.ndarray:
     """Rows of the five compatibility identities, at most cap per identity,
-    for bar the right inverse of star and ``gens`` a generating set of (X, *).
+    for bar the right inverse of star and ``autos`` the moving rho_s that
+    :func:`quandle_violations` proved to preserve star, or None.
 
     Identities 1, 2 and 3 each get their slab scan unless proved: 1 (2) when
-    every moving rho_s preserves star and R1 (R2), 3 when 1 and 2 are and it
-    holds at one element per Inn-orbit.  4 and 5 are checked on all pairs."""
+    autos is not None and each of its maps preserves R1 (R2), 3 when 1 and 2
+    are and it holds at one element per Inn-orbit.  4 and 5 are checked on
+    all pairs."""
     n = star.shape[0]
     idx = np.arange(n, dtype=np.int64)
 
@@ -238,11 +235,11 @@ def sing_violations(star, bar, r1, r2, cap: int, gens) -> np.ndarray:
         return (star_t[a].take(bar.take(r1[a], axis=1)),
                 bar_t.ravel().take(star.take(r2[a], axis=1) + row_b.T))
 
-    rhos = moving_rhos(star, gens)
-    auto = _preserved(rhos, star)
-    proved = {1: auto and _preserved(rhos, r1), 2: auto and _preserved(rhos, r2)}
-    proved[3] = (proved[1] and proved[2]
-                 and all(np.array_equal(*three(a)) for a in _orbit_reps(rhos, n)))
+    proved = {code: autos is not None and _preserved(autos, table)
+              for code, table in ((1, r1), (2, r2))}
+    proved[3] = proved[1] and proved[2] and all(
+        np.array_equal(*three(a))
+        for a in np.flatnonzero(orbit_labels(idx[:, None], autos, n) == idx))
     parts = [_NO_ROWS if proved[code] else _slab_rows(code, n, cap, block)
              for code, block in ((1, one), (2, two), (3, three))]
     return np.concatenate(parts + [four, five])
@@ -339,6 +336,67 @@ def distinct_rows(a: np.ndarray):
     inverse = np.empty(m, dtype=np.int64)
     inverse[order] = np.cumsum(new) - 1
     return ranked[new], inverse, np.bincount(inverse)
+
+
+def canonical_sets(rows: np.ndarray, n: int) -> np.ndarray:
+    """Each row as its set: sorted, with repeats replaced by n, sorted again."""
+    rows = np.sort(rows, axis=1)
+    tail = rows[:, 1:]
+    tail[tail == rows[:, :-1]] = n
+    rows.sort(axis=1)
+    return rows
+
+
+def orbit_labels(seeds: np.ndarray, rhos: np.ndarray, n: int) -> np.ndarray:
+    """For each seed set, the index of the least seed set of its orbit
+    under the maps whose rows are rhos.  seeds holds distinct sets as
+    :func:`canonical_sets` makes them, ascending rows padded with n, in
+    lexicographic order; the elements themselves are the one-column rows
+    ``arange(n)[:, None]``, whose labels are then their orbits' least
+    elements.
+
+    phi passes the seed sets of the colorings: the seed set of a coloring h
+    moves to the seed set of rho o h, which is again a coloring when rho is
+    an automorphism; a seed set whose image is not among seeds means that
+    premise failed, and raises.  The orbits are the components of the graph
+    joining each seed set to its images, found by hooking and pointer
+    jumping (Shiloach and Vishkin, J. Algorithms 1982): every label points
+    to a root, a seed set that is its own label; each round, the larger root
+    of each edge whose ends have different roots points to the least root it
+    meets, and then every label becomes its label's label until nothing
+    changes.  The inverse of a permutation of a finite set is one of its
+    powers, so the images alone reach every orbit.
+    """
+    d = len(seeds)
+    label = np.arange(d)
+    if not len(rhos) or not d:
+        return label
+    maps = np.full((len(rhos), n + 1), n, dtype=np.int64)
+    maps[:, :n] = rhos
+    images = canonical_sets(maps[:, seeds].reshape(len(rhos) * d, seeds.shape[1]), n)
+    _, group, _ = distinct_rows(np.concatenate([seeds, images]))
+    seed_of = np.full(d + len(images), -1)
+    seed_of[group[:d]] = label
+    there = seed_of[group[d:]]
+    if (there < 0).any():
+        bad = int(np.argmax(there < 0))
+        here, image = seeds[bad % d], images[bad]
+        raise RuntimeError(
+            f"seed set {here[here < n].tolist()} maps to {image[image < n].tolist()}, which "
+            f"no coloring has: a map x -> x*s with s in the generating set is not an "
+            f"automorphism")
+    here = np.tile(label, len(rhos))
+    while True:
+        a, b = label[here], label[there]
+        apart = a != b
+        if not apart.any():
+            return label
+        np.minimum.at(label, np.maximum(a, b)[apart], np.minimum(a, b)[apart])
+        while True:
+            up = label[label]
+            if np.array_equal(up, label):
+                break
+            label = up
 
 
 def _members(tables, rows: np.ndarray, n: int) -> np.ndarray:

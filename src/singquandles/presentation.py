@@ -29,10 +29,10 @@ relation in the term grammar of :mod:`singquandles.terms`.
 phi (:func:`phi_ssqp`) works on arrays of seed sets, a coloring's seed set
 being its set of generator values, which fixes its image.  The colorings
 are grouped by seed set (:func:`seed_sets`), and the seed sets into orbits
-under the maps x -> x*s, s in the target's generating set: these maps are
-automorphisms, so they carry colorings to colorings and images to images of
-the same ssqp.  One call of :func:`kernels.closures` then closes one seed
-set per orbit.
+(:func:`kernels.orbit_labels`) under the maps x -> x*s, s in the target's
+generating set: these maps are automorphisms, so they carry colorings to
+colorings and images to images of the same ssqp.  One call of
+:func:`kernels.closures` then closes one seed set per orbit.
 """
 
 from __future__ import annotations
@@ -247,62 +247,7 @@ def seed_sets(rows: np.ndarray, n: int):
     seed set of a coloring, its set of generator values, alone determines
     its image.  Seed sets are ascending rows padded with n, as
     :func:`kernels.closures` takes them, in lexicographic order."""
-    return kernels.distinct_rows(_canonical(rows, n))
-
-
-def _canonical(rows: np.ndarray, n: int) -> np.ndarray:
-    """Each row as its set: sorted, with repeats replaced by n, sorted again."""
-    rows = np.sort(rows, axis=1)
-    tail = rows[:, 1:]
-    tail[tail == rows[:, :-1]] = n
-    rows.sort(axis=1)
-    return rows
-
-
-def _orbit_labels(seeds: np.ndarray, rhos: np.ndarray, n: int) -> np.ndarray:
-    """For each seed set of :func:`seed_sets`, the index of the least seed
-    set of its orbit under the maps whose rows are rhos.
-
-    The seed set of a coloring h moves to the seed set of rho o h, which
-    is again a coloring when rho is an automorphism; a seed set whose image
-    no coloring has means that premise failed, and raises.  The orbits are
-    the components of the graph joining each seed set to its images, found
-    by hooking and pointer jumping (Shiloach and Vishkin, J. Algorithms
-    1982): every label points to a root, a seed set that is its own label;
-    each round, the larger root of each edge whose ends have different
-    roots points to the least root it meets, and then every label becomes
-    its label's label until nothing changes.
-    """
-    d = len(seeds)
-    label = np.arange(d)
-    if not len(rhos) or not d:
-        return label
-    maps = np.full((len(rhos), n + 1), n, dtype=np.int64)
-    maps[:, :n] = rhos
-    images = _canonical(maps[:, seeds].reshape(len(rhos) * d, seeds.shape[1]), n)
-    _, group, _ = kernels.distinct_rows(np.concatenate([seeds, images]))
-    seed_of = np.full(d + len(images), -1)
-    seed_of[group[:d]] = label
-    there = seed_of[group[d:]]
-    if (there < 0).any():
-        bad = int(np.argmax(there < 0))
-        here, image = seeds[bad % d], images[bad]
-        raise RuntimeError(
-            f"seed set {here[here < n].tolist()} maps to {image[image < n].tolist()}, which "
-            f"no coloring has: a map x -> x*s with s in the generating set is not an "
-            f"automorphism")
-    here = np.tile(label, len(rhos))
-    while True:
-        a, b = label[here], label[there]
-        apart = a != b
-        if not apart.any():
-            return label
-        np.minimum.at(label, np.maximum(a, b)[apart], np.minimum(a, b)[apart])
-        while True:
-            up = label[label]
-            if np.array_equal(up, label):
-                break
-            label = up
+    return kernels.distinct_rows(kernels.canonical_sets(rows, n))
 
 
 def phi_ssqp(pres: SingPresentation, q: FiniteSingquandle) -> PhiInvariant:
@@ -318,7 +263,7 @@ def phi_ssqp(pres: SingPresentation, q: FiniteSingquandle) -> PhiInvariant:
     of profile rows.
     """
     seeds, _, counts = seed_sets(_coloring_rows(pres, q), q.order)
-    label = _orbit_labels(seeds, kernels.moving_rhos(q.star, q.generators()), q.order)
+    label = kernels.orbit_labels(seeds, kernels.moving_rhos(q.star, q.generators()), q.order)
     reps = np.flatnonzero(label == np.arange(len(label)))
     totals = np.zeros(len(label), dtype=np.int64)
     np.add.at(totals, label, counts)

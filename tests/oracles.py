@@ -126,6 +126,51 @@ def shift_singquandle(n: int, s: int = 1) -> FiniteSingquandle:
     return table_singquandle(n, star, r1, r2)
 
 
+def union_singquandle(sizes, perm=None) -> FiniteSingquandle:
+    """A disjoint union of dihedral quandles R_m (x*y = 2y - x mod m), one
+    component per odd size m >= 3 in sizes, with x*y = x across components,
+    R1(x, y) = y and R2(x, y) = x*y, which satisfy the five identities over
+    any quandle.  Every column is a different map and every component is one
+    Inn-orbit, so a union of many R_3 has about n distinct columns and n/3
+    orbits.  perm, a permutation of 0..n-1, renames element x as perm[x]."""
+    comp = []  # (offset, size) of each element's component
+    for m in sizes:
+        comp.extend([(len(comp), m)] * m)
+    n = len(comp)
+    perm = list(range(n)) if perm is None else [int(p) for p in perm]
+    star = [[0] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(n):
+            (o, m), z = comp[x], x
+            if comp[y] == comp[x]:
+                z = o + (2 * (y - o) - (x - o)) % m
+            star[perm[x]][perm[y]] = perm[z]
+    r1 = [[y for y in range(n)] for _ in range(n)]
+    return table_singquandle(n, star, r1, star)
+
+
+def element_orbits(star) -> list[int]:
+    """The least element of each element's orbit under the maps y -> y*x,
+    by breadth-first search from every element.  For a right-invertible
+    star these maps are permutations, so what one element reaches is its
+    orbit."""
+    n = len(star)
+    least = []
+    for x in range(n):
+        orbit, frontier = {x}, [x]
+        while frontier:
+            found = []
+            for y in frontier:
+                for s in range(n):
+                    z = int(star[y][s])
+                    if z not in orbit:
+                        orbit.add(z)
+                        found.append(z)
+            frontier = found
+        least.append(min(orbit))
+    return least
+
+
 def violation_rows(star, bar, r1, r2, cap):
     """Violation rows (code, a, b, c), -1 padded, from plain loops.
 

@@ -5,14 +5,22 @@ import numpy as np
 import pytest
 
 from singquandles import corpus, kernels
-from singquandles.core import derive_bar, validate_tables
+from singquandles.core import validate_tables
 from singquandles.diagram import SingularPD, pd_to_presentation
 from singquandles.errors import NotRightInvertibleError
 from singquandles.formulas import affine_singquandle
 from singquandles.polynomial import sqp
 from singquandles.presentation import _plan, counting_invariant
 
-from oracles import bar_by_columns, quandle_ok, shift_singquandle, star_closure, violation_rows
+from oracles import (
+    bar_by_columns,
+    element_orbits,
+    quandle_ok,
+    shift_singquandle,
+    star_closure,
+    union_singquandle,
+    violation_rows,
+)
 
 
 def _random_tables(rng, n):
@@ -41,19 +49,22 @@ def _random_tables(rng, n):
 
 def _assert_rows_match_oracle(star, r1, r2, caps=(1, 3, 100)) -> bool:
     """The kernels' rows equal the oracle's, row for row (order within each
-    code and the per-code cap), on every star, right-invertible or not.
-    Returns whether star is right-invertible."""
+    code and the per-code cap), on every star, right-invertible or not, and
+    the quandle kernel's bar is the oracle's.  Returns whether star is
+    right-invertible."""
     try:
-        bar = derive_bar(star)
+        bar = bar_by_columns(star)
     except NotRightInvertibleError:
         bar = None
     gens = kernels.generating_set(star)
     for cap in caps:
         quandle, singular = ([list(r) for r in rows]
                              for rows in violation_rows(star, bar, r1, r2, cap))
-        assert kernels.quandle_violations(star, bar, cap, gens).tolist() == quandle
+        rows, kbar, autos = kernels.quandle_violations(star, cap, gens)
+        assert rows.tolist() == quandle
+        assert (None if kbar is None else kbar.tolist()) == bar
         if bar is not None:
-            assert kernels.sing_violations(star, bar, r1, r2, cap, gens).tolist() == singular
+            assert kernels.sing_violations(star, kbar, r1, r2, cap, autos).tolist() == singular
     return bar is not None
 
 
@@ -99,7 +110,7 @@ def test_proof_matches_oracle_on_order_3_quandles():
         for r1 in every_r1[sample]:
             r2 = r1[idx[None, :], star]  # R2(a, b) = R1(b, a*b)
             _assert_rows_match_oracle(star, r1, r2, caps=(100,))
-            valid += not violation_rows(star, derive_bar(star), r1, r2, 1)[1]
+            valid += not violation_rows(star, bar_by_columns(star), r1, r2, 1)[1]
     assert valid >= 100
 
 
@@ -110,7 +121,8 @@ def test_proof_catches_corruption_off_orbit_representatives():
     for n, t, s in ((8, 3, 2), (9, 2, 4), (12, 5, 1), (16, 5, 3)):
         q = affine_singquandle(n, t, s)
         rhos = kernels.moving_rhos(q.star, kernels.generating_set(q.star))
-        reps = set(kernels._orbit_reps(rhos, n))
+        idx = np.arange(n)
+        reps = set(np.flatnonzero(kernels.orbit_labels(idx[:, None], rhos, n) == idx).tolist())
         assert len(reps) == np.gcd(t - 1, n)  # the Inn-orbits are the cosets of (1-t)Z_n
         others = [a for a in range(n) if a not in reps]
         for which in range(3):
@@ -160,11 +172,15 @@ def test_proof_checks_every_orbit_and_right_invertibility():
     r1[3, 0] = 3
     r2 = r1[np.arange(4)[None, :], star]  # R2(a, b) = R1(b, a*b)
     _assert_rows_match_oracle(star, r1, r2)
-    rows = kernels.sing_violations(star, derive_bar(star), r1, r2, 100, kernels.generating_set(star))
+    _, bar, autos = kernels.quandle_violations(star, 100, kernels.generating_set(star))
+    rows = kernels.sing_violations(star, bar, r1, r2, 100, autos)
     assert set(rows[:, 0]) == {3} and 0 not in rows[:, 1]
-    # not right-invertible, yet the one moving rho_s preserves star
+    # not right-invertible, yet the one moving rho_s preserves star: the
+    # quandle kernel hands on no maps, as they are not bijections
     star = np.array([[0, 0, 0], [1, 2, 1], [2, 0, 0]])
-    assert kernels._preserved(kernels.moving_rhos(star, kernels.generating_set(star)), star)
+    gens = kernels.generating_set(star)
+    assert kernels._preserved(kernels.moving_rhos(star, gens), star)
+    assert kernels.quandle_violations(star, 100, gens)[1:] == (None, None)
     _assert_rows_match_oracle(star, np.zeros_like(star), np.zeros_like(star))
 
 
@@ -174,6 +190,42 @@ def test_proof_matches_oracle_on_shift_structures():
         for s in range(n):
             q = shift_singquandle(n, s)
             _assert_rows_match_oracle(q.star, q.r1, q.r2)
+
+
+# A disjoint union of many small dihedral quandles: many Inn-orbits and
+# many moving rho_s at once, unlike the affine (few orbits) and trivial
+# (no moving rho_s) targets.
+
+def test_union_rows_match_oracle():
+    rng = random.Random(13)
+    n = 3 * 6 + 5
+    q = union_singquandle([3] * 6 + [5], np.random.default_rng(1).permutation(n))
+    _, _, autos = kernels.quandle_violations(q.star, 100, q.generators())
+    assert len(autos) == len(q.generators()) == 2 * 7  # two per component, all moving
+    assert len(set(element_orbits(q.star.tolist()))) == 7
+    assert validate_tables(q.star, q.r1, q.r2).ok
+    for _ in range(4):  # random R1 and R2 over the union's star
+        r1, r2 = (np.array([[rng.randrange(n) for _ in range(n)] for _ in range(n)]) for _ in range(2))
+        _assert_rows_match_oracle(q.star, r1, r2)
+    for which in range(3):  # one changed cell in star, R1 or R2
+        for _ in range(3):
+            tables = [q.star.copy(), q.r1.copy(), q.r2.copy()]
+            a, b = rng.randrange(n), rng.randrange(n)
+            tables[which][a, b] = (tables[which][a, b] + 1 + rng.randrange(n - 1)) % n
+            _assert_rows_match_oracle(*tables)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_orbit_labels_of_union_elements_match_bfs(seed):
+    sizes = [3] * 30 + [5] * 3 + [7]
+    n = sum(sizes)
+    q = union_singquandle(sizes, np.random.default_rng(seed).permutation(n))
+    want = element_orbits(q.star.tolist())
+    assert len(set(want)) == len(sizes)
+    elements = np.arange(n)[:, None]
+    moving = kernels.moving_rhos(q.star, q.generators())
+    assert kernels.orbit_labels(elements, moving, n).tolist() == want
+    assert kernels.orbit_labels(elements, np.ascontiguousarray(q.star.T), n).tolist() == want
 
 
 def test_generating_set_generates():
@@ -194,7 +246,7 @@ def test_generating_set_of_trivial_star_is_everything():
 def test_violation_cap_is_per_axiom():
     star = np.zeros((6, 6), dtype=np.int64)  # wildly invalid
     for cap in (1, 5, 100):
-        out = kernels.quandle_violations(star, None, cap, kernels.generating_set(star))
+        out = kernels.quandle_violations(star, cap, kernels.generating_set(star))[0]
         for code in (0, 1, 2):
             assert np.count_nonzero(out[:, 0] == code) <= cap
 
@@ -245,29 +297,35 @@ def test_colorings_at_order_256_do_not_depend_on_table_dtype(affine256, link):
 
 def test_derive_bar_of_int16_star_at_order_256(affine256):
     assert affine256.star.dtype == np.int16
-    assert derive_bar(affine256.star).tolist() == bar_by_columns(affine256.star.tolist())
+    _, bar, _ = kernels.quandle_violations(affine256.star, 100, affine256.generators())
+    assert bar.dtype == np.int16
+    assert bar.tolist() == bar_by_columns(affine256.star.tolist())
 
 
 def test_violation_rows_at_order_256_do_not_depend_on_table_dtype(affine256):
     q = affine256
     r1 = q.r1.copy()
     r1[255, 255] = (r1[255, 255] + 1) % 256
-    narrow = [q.star, q.bar, r1, q.r2]
+    gens = q.generators()
+    quandle, bar, autos = kernels.quandle_violations(q.star, 100, gens)
+    wide_quandle, wide_bar, wide_autos = kernels.quandle_violations(q.star.astype(np.int64), 100, gens)
+    assert quandle.tolist() == wide_quandle.tolist() == []
+    assert bar.tolist() == wide_bar.tolist() == q.bar.tolist()
+    assert autos.tolist() == wide_autos.tolist()
+    narrow = [q.star, bar, r1, q.r2]
     wide = [t.astype(np.int64) for t in narrow]
-    gens = kernels.generating_set(q.star)
-    rows = kernels.sing_violations(*narrow, 100, gens).tolist()
-    assert rows == kernels.sing_violations(*wide, 100, gens).tolist()
+    rows = kernels.sing_violations(*narrow, 100, autos).tolist()
+    assert rows == kernels.sing_violations(*wide, 100, wide_autos).tolist()
     assert [4, 255, 255, -1] in rows
-    assert (kernels.quandle_violations(q.star, q.bar, 100, gens).tolist()
-            == kernels.quandle_violations(wide[0], wide[1], 100, gens).tolist() == [])
 
 
 def test_preimage_rows_at_order_256_do_not_depend_on_table_dtype(affine256):
-    # column 255 now takes the value 254 twice and 255 never; a star with no
-    # right inverse is the only one whose preimages are counted
+    # column 255 now takes the value 254 twice and 255 never: no bar
     star = affine256.star.copy()
     star[255, 255] = 254
     gens = kernels.generating_set(star)
-    rows = kernels.quandle_violations(star, None, 100, gens).tolist()
-    assert rows == kernels.quandle_violations(star.astype(np.int64), None, 100, gens).tolist()
-    assert [1, 255, 254, -1] in rows and [1, 255, 255, -1] in rows
+    rows, bar, autos = kernels.quandle_violations(star, 100, gens)
+    wide = kernels.quandle_violations(star.astype(np.int64), 100, gens)
+    assert rows.tolist() == wide[0].tolist()
+    assert bar is autos is wide[1] is wide[2] is None
+    assert [1, 255, 254, -1] in rows.tolist() and [1, 255, 255, -1] in rows.tolist()

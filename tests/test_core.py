@@ -9,7 +9,6 @@ import pytest
 from singquandles import core, corpus, kernels
 from singquandles.core import (
     FiniteSingquandle,
-    derive_bar,
     find_isomorphism,
     table_singquandle,
     validate_tables,
@@ -72,7 +71,7 @@ def test_validation_catches_random_corruption():
         report = validate_tables(star, r1, r2)
         bar_ok = True
         try:
-            bar = derive_bar(star).tolist()
+            bar = bar_by_columns(star)
         except NotRightInvertibleError:
             bar_ok = False
         oracle_ok = (quandle_ok(star.tolist()) and bar_ok
@@ -88,7 +87,7 @@ def test_singular_rows_of_a_right_invertible_non_quandle():
     star = np.array([[0, 2, 0], [1, 1, 2], [2, 0, 1]])
     r1 = np.array([[0, 0, 2], [1, 1, 1], [0, 2, 2]])
     r2 = r1[np.arange(3)[None, :], star]
-    quandle, singular = violation_rows(star, derive_bar(star), r1, r2, core.MAX_VIOLATIONS)
+    quandle, singular = violation_rows(star, bar_by_columns(star), r1, r2, core.MAX_VIOLATIONS)
     assert quandle and singular
     expected = [(f"singular-{code}", tuple(w for w in row if w != -1)) for code, *row in singular]
     got = [tuple(v) for v in validate_tables(star, r1, r2).violations if v.axiom.startswith("singular")]
@@ -108,10 +107,19 @@ def test_violation_witnesses_are_real():
             assert v.witness == (2,)
 
 
+def _kernel_bar(star):
+    """The quandle kernel's bar (None when it finds no right inverse) and
+    its right-invertibility rows."""
+    rows, bar, _ = kernels.quandle_violations(star, core.MAX_VIOLATIONS, kernels.generating_set(star))
+    return bar, rows[rows[:, 0] == 1]
+
+
 def test_derive_bar_roundtrip():
     for cid in ALL_SQ:
         q = corpus.load(cid)
-        bar = derive_bar(q.star)
+        bar, inv = _kernel_bar(q.star)
+        assert not len(inv)
+        assert bar.tolist() == bar_by_columns(q.star)
         n = q.order
         a = np.arange(n)[:, None]
         assert np.array_equal(bar[q.star, np.arange(n)[None, :]], np.broadcast_to(a, (n, n)))
@@ -121,28 +129,32 @@ def test_derive_bar_roundtrip():
 def test_derive_bar_rejects_bad_column():
     star = np.zeros((3, 3), dtype=np.int64)  # column 0 is constant
     with pytest.raises(NotRightInvertibleError) as exc:
-        derive_bar(star)
+        bar_by_columns(star)
     assert exc.value.column == 0
+    bar, inv = _kernel_bar(star)
+    assert bar is None
+    assert inv[0, 1] == 0
 
 
 def test_derive_bar_matches_column_loop():
+    # entries of n or more never reach the kernel: _as_table rejects them
     rng = np.random.default_rng(5)
     for n in (1, 2, 7, 33):
         for _ in range(5):
             # each column a random permutation: right-invertible, not a quandle
             star = rng.permuted(np.tile(np.arange(n)[:, None], (1, n)), axis=0)
-            assert derive_bar(star).tolist() == bar_by_columns(star)
+            assert _kernel_bar(star)[0].tolist() == bar_by_columns(star)
             if n == 1:
                 continue
             bad = rng.choice(n, size=rng.integers(1, n + 1), replace=False)
             for b in bad:
                 a, a2 = rng.choice(n, size=2, replace=False)
-                star[a, b] = star[a2, b] if rng.random() < 0.8 else n
+                star[a, b] = star[a2, b]
             with pytest.raises(NotRightInvertibleError) as want:
                 bar_by_columns(star)
-            with pytest.raises(NotRightInvertibleError) as got:
-                derive_bar(star)
-            assert got.value.column == want.value.column == bad.min()
+            bar, inv = _kernel_bar(star)
+            assert bar is None
+            assert inv[0, 1] == want.value.column == bad.min()
 
 
 @pytest.mark.parametrize("bad", [
@@ -370,14 +382,46 @@ def test_iso_result_is_a_homomorphism():
     assert result.reason == "exhausted"
 
 
-def test_build_converts_and_derives_once(monkeypatch, xz8a):
-    calls = []
-    orig = core.derive_bar
-    monkeypatch.setattr(core, "derive_bar", lambda star: calls.append(1) or orig(star))
+@pytest.fixture
+def bincount_sizes(monkeypatch):
+    """The number of keys of every np.bincount call, in call order."""
+    sizes = []
+    orig = np.bincount
+    monkeypatch.setattr(np, "bincount", lambda x, *args, **kwargs: sizes.append(np.size(x))
+                        or orig(x, *args, **kwargs))
+    return sizes
+
+
+def test_build_converts_and_derives_once(bincount_sizes, xz8a):
+    bincount_sizes.clear()
     q = table_singquandle(8, xz8a.star.tolist(), xz8a.r1.tolist(), xz8a.r2.tolist())
-    assert len(calls) == 1
+    assert bincount_sizes.count(8 * 8) == 1  # one preimage count
     assert q == xz8a
     assert np.array_equal(q.bar, xz8a.bar)
+
+
+def test_non_right_invertible_star_is_counted_once(bincount_sizes):
+    q = affine_singquandle(64, 3, 2)
+    star = q.star.copy()
+    star[1, 2] = star[0, 2]  # column 2 takes one value twice
+    bincount_sizes.clear()
+    report = validate_tables(star, q.r1, q.r2)
+    assert report.violations[0] == ("right-invertibility", (2, int(star[0, 2])))
+    assert bincount_sizes.count(64 * 64) == 1
+
+
+def test_valid_build_proves_star_preserved_once(monkeypatch):
+    q = affine_singquandle(64, 3, 2)
+    tables, rhos = [], []
+    orig_preserved, orig_moving = kernels._preserved, kernels.moving_rhos
+    monkeypatch.setattr(kernels, "_preserved",
+                        lambda r, table: tables.append(table) or orig_preserved(r, table))
+    monkeypatch.setattr(kernels, "moving_rhos",
+                        lambda star, gens: rhos.append(1) or orig_moving(star, gens))
+    assert table_singquandle(64, q.star, q.r1, q.r2) == q
+    assert sum(np.array_equal(t, q.star) for t in tables) == 1
+    assert len(tables) == 3  # star, then R1 and R2
+    assert len(rhos) == 1
 
 
 def test_validation_memory_is_quadratic():

@@ -88,7 +88,7 @@ def test_pd_enumeration_matches_brute_force(link, target):
 
 
 @pytest.mark.parametrize("s", (0, 1))
-def test_wide_pd_enumeration_matches_brute_force(s, backend):
+def test_wide_pd_enumeration_matches_brute_force(s):
     pres = pd_to_presentation(corpus.load("6_11l-pd"))
     assert len(pres.generators) == 14
     q = shift_singquandle(2, s)
