@@ -31,6 +31,10 @@ its witnesses; 4 and 5 are checked on all pairs.  Many Inn-orbits still
 cost n^3: the trivial star a*b == a, or a disjoint union of many small
 quandles with a*b == a across components.
 
+A report shows the first ``MAX_VIOLATIONS`` rows in the order above:
+(i)-(iii), then 1-5, each in witness order.  The kernels share that one
+budget, so once it is spent no later axiom is scanned, or proved.
+
 Elements may carry display labels (defaults are the decimal residues).
 All tables are int16, converted once when accepted (8 n^2 bytes for the
 four; an order above ``MAX_TABLE_ORDER`` = 2**15 is malformed) and immutable
@@ -129,16 +133,16 @@ def _validate(star, r1, r2, n: int):
     rows, bar, autos = kernels.quandle_violations(star, MAX_VIOLATIONS, gens)
     violations = [Violation(_QUANDLE_AXIOMS[code], witness) for code, witness in _rows(rows)]
     if bar is not None:
-        for code, witness in _rows(kernels.sing_violations(star, bar, r1, r2, MAX_VIOLATIONS, autos)):
+        left = MAX_VIOLATIONS - len(violations)
+        for code, witness in _rows(kernels.sing_violations(star, bar, r1, r2, left, autos)):
             violations.append(Violation(_SING_AXIOMS[code], witness))
 
-    violations = violations[:MAX_VIOLATIONS]
     report = ValidationReport(ok=not violations, order=n, violations=tuple(violations))
     return report, star, r1, r2, bar, gens
 
 
 def validate_tables(star, r1, r2, order: Optional[int] = None) -> ValidationReport:
-    """Exact check of all axioms; collects violations up to MAX_VIOLATIONS."""
+    """Exact check of all axioms; reports the first MAX_VIOLATIONS violations."""
     try:
         n = order if order is not None else len(star)
     except TypeError:

@@ -30,14 +30,20 @@ A proof decides only whether an identity's scan runs, so the reported rows
 never depend on it.  The scans of the n^3 identities run in slabs over
 ``a``: one n x n block per identity per step, built from row gathers and
 flat ``take`` on the n x n tables, so memory stays O(n^2).  Each identity
-reads its slabs in (a, b, c) order and stops once it has ``cap`` rows.  The
-kernels convert no table.  A structure's tables are int16 (see
-:mod:`singquandles.core`), and every flat index ``x * n + y`` built from
-their entries is int64, since an int16 product wraps from n = 182 on.
+reads its slabs in (a, b, c) order and stops once the rows found so far, its
+own and those of the steps before it, reach ``cap``.  The kernels convert no
+table.  A structure's tables are int16 (see :mod:`singquandles.core`), and
+every flat index ``x * n + y`` built from their entries is int64, since an
+int16 product wraps from n = 182 on.
 
-Violation rows are ``[code, a, b, c]`` with unused slots set to -1; the
-``cap`` argument bounds the rows reported per axiom or identity, so a
-report stays small even for wildly invalid tables.
+Violation rows are ``[code, a, b, c]`` with unused slots set to -1.  The
+``cap`` argument bounds the rows reported in all, in report order: the
+quandle codes 0, 1, 2, then the singular codes 1..5, each code's rows in
+(a, b, c) order.  Each step gets what the steps before it left of cap, and
+a step left nothing is skipped, scan and proof alike, so a report stays
+small, and costs no more than the rows it shows, even for wildly invalid
+tables; :mod:`singquandles.core` hands the singular kernel what the quandle
+rows left.
 Quandle codes: 0 idempotence (witness a), 1 right-invertibility (witness
 column y and value z with preimage count != 1), 2 self-distributivity
 (witness a, b, c).  Singular codes 1..5 follow the five compatibility
@@ -165,14 +171,15 @@ def _preserved(rhos: np.ndarray, table: np.ndarray) -> bool:
 
 
 def quandle_violations(star: np.ndarray, cap: int, gens):
-    """Rows of the quandle axioms, at most cap per axiom, with bar, the right
-    inverse of star (None when it has none), and the moving rho_s of
-    ``gens``, a generating set of (X, *), when they are proved to preserve
-    star (None when not).
+    """The first cap rows of the quandle axioms in report order, with bar,
+    the right inverse of star (None when it has none), and the moving rho_s
+    of ``gens``, a generating set of (X, *), when they are proved to
+    preserve star (None when not).
 
     One preimage count decides (ii): its code-1 rows, or bar when every
     count is 1.  Given bar, one n x n comparison per moving rho_s proves
-    self-distributivity; when that proof fails, the slab scan runs."""
+    self-distributivity; when that proof fails and the idempotence and
+    right-invertibility rows left room, the slab scan runs."""
     n = star.shape[0]
     idx = np.arange(n, dtype=np.int64)
 
@@ -182,7 +189,8 @@ def quandle_violations(star: np.ndarray, cap: int, gens):
     # counts[y, z] = number of x with x*y = z; each must be 1
     flat = star + idx * n
     bad = np.flatnonzero(np.bincount(flat.ravel(), minlength=n * n) != 1)
-    inv = _pack(1, *np.divmod(bad[:cap], n))
+    inv = _pack(1, *np.divmod(bad[:cap - len(idem)], n))
+    left = cap - len(idem) - len(inv)
     bar = autos = None
     if not bad.size:
         bar = np.empty_like(star)
@@ -194,33 +202,31 @@ def quandle_violations(star: np.ndarray, cap: int, gens):
         m = star[star[a]]  # m[b, c] = (a*b)*c
         return m, m.ravel().take(flat)
 
-    dist = _NO_ROWS if autos is not None else _slab_rows(2, n, cap, distributive)
+    dist = _NO_ROWS if autos is not None or not left else _slab_rows(2, n, left, distributive)
     return np.concatenate([idem, inv, dist]), bar, autos
 
 
 def sing_violations(star, bar, r1, r2, cap: int, autos) -> np.ndarray:
-    """Rows of the five compatibility identities, at most cap per identity,
-    for bar the right inverse of star and ``autos`` the moving rho_s that
-    :func:`quandle_violations` proved to preserve star, or None.
+    """The first cap rows of the five compatibility identities in report
+    order, for bar the right inverse of star and ``autos`` the moving rho_s
+    that :func:`quandle_violations` proved to preserve star, or None.
 
     Identities 1, 2 and 3 each get their slab scan unless proved: 1 (2) when
     autos is not None and each of its maps preserves R1 (R2), 3 when 1 and 2
     are and it holds at one element per Inn-orbit.  4 and 5 are checked on
-    all pairs."""
+    all pairs.  Each step gets what the rows before it left of cap; a step
+    left nothing is skipped, proof and all."""
+    # the scans' transposes are freed before the pair checks' indices exist
+    rows = _triple_rows(star, bar, r1, r2, cap, autos)
+    left = cap - sum(len(part) for part in rows)
+    return np.concatenate([_NO_ROWS, *rows, *_pair_rows(star, r1, r2, left)])
+
+
+def _triple_rows(star, bar, r1, r2, cap: int, autos) -> list:
+    """The rows of identities 1, 2 and 3, at most cap in all, as one array
+    per scan that ran."""
     n = star.shape[0]
     idx = np.arange(n, dtype=np.int64)
-
-    # 4: R2(a,b) == R1(b, a*b) and 5: R1(a,b)*R2(a,b) == R2(b, a*b), from
-    # n x n int64 flat indices held one at a time
-    flat = star + idx * n  # flat[a, b] = b*n + a*b indexes cell (b, a*b)
-    four = _pack(4, *np.divmod(np.flatnonzero(r2 != r1.ravel().take(flat))[:cap], n))
-    rhs = r2.ravel().take(flat)
-    del flat
-    pair = np.multiply(r1, n, dtype=np.int64)
-    pair += r2             # pair[a, b] indexes cell (R1(a,b), R2(a,b))
-    five = _pack(5, *np.divmod(np.flatnonzero(star.ravel().take(pair) != rhs)[:cap], n))
-    del pair, rhs
-
     star_t = np.ascontiguousarray(star.T)  # star_t[b, c] = c*b
     bar_t = np.ascontiguousarray(bar.T)    # bar_t[b, c] = c/b
     row_b = idx[:, None] * n               # flat offset of row b
@@ -235,14 +241,44 @@ def sing_violations(star, bar, r1, r2, cap: int, autos) -> np.ndarray:
         return (star_t[a].take(bar.take(r1[a], axis=1)),
                 bar_t.ravel().take(star.take(r2[a], axis=1) + row_b.T))
 
-    proved = {code: autos is not None and _preserved(autos, table)
-              for code, table in ((1, r1), (2, r2))}
-    proved[3] = proved[1] and proved[2] and all(
-        np.array_equal(*three(a))
-        for a in np.flatnonzero(orbit_labels(idx[:, None], autos, n) == idx))
-    parts = [_NO_ROWS if proved[code] else _slab_rows(code, n, cap, block)
-             for code, block in ((1, one), (2, two), (3, three))]
-    return np.concatenate(parts + [four, five])
+    scans = []
+
+    def proved(code):
+        # asked in code order, so 3 is asked after 1 and 2, which were
+        # proved when neither was scanned
+        if autos is None:
+            return False
+        if code < 3:
+            return _preserved(autos, (r1, r2)[code - 1])
+        return not scans and all(
+            np.array_equal(*three(a))
+            for a in np.flatnonzero(orbit_labels(idx[:, None], autos, n) == idx))
+
+    left = cap
+    for code, block in ((1, one), (2, two), (3, three)):
+        if left and not proved(code):
+            scans.append(_slab_rows(code, n, left, block))
+            left -= len(scans[-1])
+    return scans
+
+
+def _pair_rows(star, r1, r2, cap: int) -> list:
+    """The rows of identities 4, R2(a,b) == R1(b, a*b), and 5,
+    R1(a,b)*R2(a,b) == R2(b, a*b), at most cap in all, from n x n int64
+    flat indices held one at a time."""
+    if not cap:
+        return []
+    n = star.shape[0]
+    flat = star + np.arange(n, dtype=np.int64) * n  # flat[a, b] = b*n + a*b indexes cell (b, a*b)
+    four = _pack(4, *np.divmod(np.flatnonzero(r2 != r1.ravel().take(flat))[:cap], n))
+    if len(four) == cap:
+        return [four]
+    rhs = r2.ravel().take(flat)
+    del flat
+    pair = np.multiply(r1, n, dtype=np.int64)
+    pair += r2             # pair[a, b] indexes cell (R1(a,b), R2(a,b))
+    bad = np.flatnonzero(star.ravel().take(pair) != rhs)[:cap - len(four)]
+    return [four, _pack(5, *np.divmod(bad, n))]
 
 
 def _share(cols: dict, fn) -> dict:

@@ -171,12 +171,12 @@ def element_orbits(star) -> list[int]:
     return least
 
 
-def violation_rows(star, bar, r1, r2, cap):
-    """Violation rows (code, a, b, c), -1 padded, from plain loops.
+def violation_rows(star, bar, r1, r2):
+    """Every violation row (code, a, b, c), -1 padded, from plain loops.
 
     Returns the quandle rows and the singular rows, each in (code, a, b, c)
-    order with at most cap rows per code.  The singular list is empty when
-    bar is None (star is not right-invertible).
+    order; a report shows the first rows of their concatenation.  The
+    singular list is empty when bar is None (star is not right-invertible).
     """
     star, r1, r2 = ([[int(v) for v in row] for row in t] for t in (star, r1, r2))
     n = len(star)
@@ -214,10 +214,10 @@ def violation_rows(star, bar, r1, r2, cap):
                 if star[r1[a][b]][r2[a][b]] != r2[b][star[a][b]]:
                     singular[5].append((5, a, b, -1))
 
-    def capped(groups):
-        return [row for rows in groups.values() for row in rows[:cap]]
+    def joined(groups):
+        return [row for rows in groups.values() for row in rows]
 
-    return capped(quandle), capped(singular)
+    return joined(quandle), joined(singular)
 
 
 def star_closure(star, seed) -> set[int]:

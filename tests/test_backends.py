@@ -47,24 +47,33 @@ def _random_tables(rng, n):
     return star, r1, r2
 
 
+def _unreached_cap(n: int) -> int:
+    """More rows than any table of order n has: n + n^2 + n^3 quandle rows
+    and 3 n^3 + 2 n^2 singular ones at most."""
+    return 5 * n**3 + 3 * n * n
+
+
 def _assert_rows_match_oracle(star, r1, r2, caps=(1, 3, 100)) -> bool:
-    """The kernels' rows equal the oracle's, row for row (order within each
-    code and the per-code cap), on every star, right-invertible or not, and
-    the quandle kernel's bar is the oracle's.  Returns whether star is
+    """The kernels' rows are the first cap rows of the oracle's, row for row
+    in report order (quandle codes 0-2, then singular codes 1-5), the
+    singular kernel taking what the quandle rows left of cap.  Checked for
+    each of caps and for a cap that no table reaches, which compares every
+    identity's full row list.  On every star, right-invertible or not, the
+    quandle kernel's bar is the oracle's.  Returns whether star is
     right-invertible."""
     try:
         bar = bar_by_columns(star)
     except NotRightInvertibleError:
         bar = None
     gens = kernels.generating_set(star)
-    for cap in caps:
-        quandle, singular = ([list(r) for r in rows]
-                             for rows in violation_rows(star, bar, r1, r2, cap))
+    quandle, singular = ([list(r) for r in rows] for rows in violation_rows(star, bar, r1, r2))
+    for cap in (*caps, _unreached_cap(len(star))):
         rows, kbar, autos = kernels.quandle_violations(star, cap, gens)
-        assert rows.tolist() == quandle
+        assert rows.tolist() == quandle[:cap]
         assert (None if kbar is None else kbar.tolist()) == bar
         if bar is not None:
-            assert kernels.sing_violations(star, kbar, r1, r2, cap, autos).tolist() == singular
+            left = cap - len(rows)
+            assert kernels.sing_violations(star, kbar, r1, r2, left, autos).tolist() == singular[:left]
     return bar is not None
 
 
@@ -110,7 +119,7 @@ def test_proof_matches_oracle_on_order_3_quandles():
         for r1 in every_r1[sample]:
             r2 = r1[idx[None, :], star]  # R2(a, b) = R1(b, a*b)
             _assert_rows_match_oracle(star, r1, r2, caps=(100,))
-            valid += not violation_rows(star, bar_by_columns(star), r1, r2, 1)[1]
+            valid += not violation_rows(star, bar_by_columns(star), r1, r2)[1]
     assert valid >= 100
 
 
@@ -161,6 +170,39 @@ def test_each_identity_is_proved_on_its_own(scanned, n, t, s):
     scanned.clear()
     assert "singular-1" in {v.axiom for v in validate_tables(q.star, r1, q.r2).violations}
     assert scanned == [1, 3]
+
+
+def test_a_spent_budget_skips_the_later_scans(scanned):
+    # identity 1 alone has 128 rows here, more than a report shows, so
+    # identity 3, whose proof fails with identity 1's, is not scanned
+    q = affine_singquandle(64, 3, 2)
+    r1 = q.r1.copy()
+    r1[5, 7] = (r1[5, 7] + 1) % 64
+    quandle, singular = violation_rows(q.star, q.bar, r1, q.r2)
+    assert not quandle and [row[0] for row in singular].count(1) == 128
+    assert {row[0] for row in singular} == {1, 3, 4, 5}
+    assert len(validate_tables(q.star, r1, q.r2).violations) == 100
+    assert scanned == [1]
+
+
+def test_a_spent_budget_bounds_the_slabs_read_at_order_512(monkeypatch):
+    # the changed cell's row is past n/2, where identity 3's own rows begin,
+    # so a scan of identity 3 would read at least n/2 slabs; identity 1
+    # fills the report first and its block is the only one called
+    slabs = {}
+    slab_rows = kernels._slab_rows
+
+    def counting(code, n, cap, block):
+        def counted(a):
+            slabs[code] = slabs.get(code, 0) + 1
+            return block(a)
+        return slab_rows(code, n, cap, counted)
+    monkeypatch.setattr(kernels, "_slab_rows", counting)
+    q = affine_singquandle(512, 3, 2)
+    r1 = q.r1.copy()
+    r1[300, 7] = (r1[300, 7] + 1) % 512
+    assert len(validate_tables(q.star, r1, q.r2).violations) == 100
+    assert list(slabs) == [1] and slabs[1] <= 512 // 4
 
 
 def test_proof_checks_every_orbit_and_right_invertibility():
@@ -243,12 +285,23 @@ def test_generating_set_of_trivial_star_is_everything():
     assert kernels.generating_set(q.star).tolist() == list(range(64))
 
 
-def test_violation_cap_is_per_axiom():
-    star = np.zeros((6, 6), dtype=np.int64)  # wildly invalid
-    for cap in (1, 5, 100):
-        out = kernels.quandle_violations(star, cap, kernels.generating_set(star))[0]
-        for code in (0, 1, 2):
-            assert np.count_nonzero(out[:, 0] == code) <= cap
+def test_violation_cap_bounds_the_total_in_report_order():
+    # tables that break every quandle axiom, and every compatibility
+    # identity over a quandle star, with more rows in all than any cap here
+    idx = np.arange(6)
+    star = (idx[:, None] * idx + 1) % 6
+    gens = kernels.generating_set(star)
+    every = kernels.quandle_violations(star, _unreached_cap(6), gens)[0]
+    assert np.all(np.diff(every[:, 0]) >= 0) and set(every[:, 0]) == {0, 1, 2}
+    q = affine_singquandle(6, 5, 2)
+    r1, r2 = np.zeros((6, 6), dtype=np.int64), np.ones((6, 6), dtype=np.int64)
+    _, bar, autos = kernels.quandle_violations(q.star, 100, q.generators())
+    every_sing = kernels.sing_violations(q.star, bar, r1, r2, _unreached_cap(6), autos)
+    assert np.all(np.diff(every_sing[:, 0]) >= 0) and set(every_sing[:, 0]) == {1, 2, 3, 4, 5}
+    for cap in (0, 1, 5, 100):
+        assert kernels.quandle_violations(star, cap, gens)[0].tolist() == every[:cap].tolist()
+        rows = kernels.sing_violations(q.star, bar, r1, r2, cap, autos)
+        assert rows.tolist() == every_sing[:cap].tolist()
 
 
 def test_frontier_keeps_aliased_columns_shared():
@@ -307,15 +360,16 @@ def test_violation_rows_at_order_256_do_not_depend_on_table_dtype(affine256):
     r1 = q.r1.copy()
     r1[255, 255] = (r1[255, 255] + 1) % 256
     gens = q.generators()
-    quandle, bar, autos = kernels.quandle_violations(q.star, 100, gens)
-    wide_quandle, wide_bar, wide_autos = kernels.quandle_violations(q.star.astype(np.int64), 100, gens)
+    cap = _unreached_cap(256)  # every row, so identity 4's last one is reached
+    quandle, bar, autos = kernels.quandle_violations(q.star, cap, gens)
+    wide_quandle, wide_bar, wide_autos = kernels.quandle_violations(q.star.astype(np.int64), cap, gens)
     assert quandle.tolist() == wide_quandle.tolist() == []
     assert bar.tolist() == wide_bar.tolist() == q.bar.tolist()
     assert autos.tolist() == wide_autos.tolist()
     narrow = [q.star, bar, r1, q.r2]
     wide = [t.astype(np.int64) for t in narrow]
-    rows = kernels.sing_violations(*narrow, 100, autos).tolist()
-    assert rows == kernels.sing_violations(*wide, 100, wide_autos).tolist()
+    rows = kernels.sing_violations(*narrow, cap, autos).tolist()
+    assert rows == kernels.sing_violations(*wide, cap, wide_autos).tolist()
     assert [4, 255, 255, -1] in rows
 
 
