@@ -10,7 +10,6 @@ failures (tables that are not singquandles, bad subsets, and the like).
 from __future__ import annotations
 
 import argparse
-import functools
 import sys
 from typing import Optional
 
@@ -171,12 +170,7 @@ def _cmd_pd2rel(args) -> int:
     return 0
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command line parser, built once per process and shared by every
-    :func:`main` call in it.  argparse looks up ``sys.stdout``,
-    ``sys.stderr`` and the terminal width when it prints, so a shared parser
-    prints usage and help to the streams current at that moment."""
     parser = argparse.ArgumentParser(
         prog="singquandles",
         description="Finite oriented singquandles: validation, polynomial invariants, "
@@ -236,13 +230,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    """Run one command and return its exit status.  The parser is built on
-    the first call only: a one-shot shell invocation builds it once either
-    way, while callers that run many commands in one process, such as the
-    benchmark, the tests and library users, no longer pay 1.5-2 ms to
-    rebuild it on every call."""
+    parser = build_parser()
     try:
-        args = build_parser().parse_args(argv)
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     try:

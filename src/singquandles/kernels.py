@@ -41,8 +41,8 @@ Violation rows are ``[code, a, b, c]`` with unused slots set to -1.  The
 quandle codes 0, 1, 2, then the singular codes 1..5, each code's rows in
 (a, b, c) order.  Each step gets what the steps before it left of cap, and
 a step left nothing is skipped, scan and proof alike, so a report stays
-small, and costs no more than the rows it shows, even for wildly invalid
-tables; :mod:`singquandles.core` hands the singular kernel what the quandle
+small even for wildly invalid tables and no scan runs for rows it would not
+show; :mod:`singquandles.core` hands the singular kernel what the quandle
 rows left.
 Quandle codes: 0 idempotence (witness a), 1 right-invertibility (witness
 column y and value z with preimage count != 1), 2 self-distributivity
@@ -174,12 +174,13 @@ def quandle_violations(star: np.ndarray, cap: int, gens):
     """The first cap rows of the quandle axioms in report order, with bar,
     the right inverse of star (None when it has none), and the moving rho_s
     of ``gens``, a generating set of (X, *), when they are proved to
-    preserve star (None when not).
+    preserve star (None when not, and when the idempotence rows fill cap,
+    since the singular kernel then gets nothing to scan).
 
     One preimage count decides (ii): its code-1 rows, or bar when every
-    count is 1.  Given bar, one n x n comparison per moving rho_s proves
-    self-distributivity; when that proof fails and the idempotence and
-    right-invertibility rows left room, the slab scan runs."""
+    count is 1.  Given bar and room left in cap, one n x n comparison per
+    moving rho_s proves self-distributivity; when that proof fails, the slab
+    scan runs."""
     n = star.shape[0]
     idx = np.arange(n, dtype=np.int64)
 
@@ -195,8 +196,9 @@ def quandle_violations(star: np.ndarray, cap: int, gens):
     if not bad.size:
         bar = np.empty_like(star)
         bar[star, idx] = idx[:, None]
-        rhos = moving_rhos(star, gens)
-        autos = rhos if _preserved(rhos, star) else None
+        if left:
+            rhos = moving_rhos(star, gens)
+            autos = rhos if _preserved(rhos, star) else None
 
     def distributive(a):  # (a*b)*c == (a*c)*(b*c)
         m = star[star[a]]  # m[b, c] = (a*b)*c
@@ -216,6 +218,8 @@ def sing_violations(star, bar, r1, r2, cap: int, autos) -> np.ndarray:
     are and it holds at one element per Inn-orbit.  4 and 5 are checked on
     all pairs.  Each step gets what the rows before it left of cap; a step
     left nothing is skipped, proof and all."""
+    if not cap:
+        return _NO_ROWS
     # the scans' transposes are freed before the pair checks' indices exist
     rows = _triple_rows(star, bar, r1, r2, cap, autos)
     left = cap - sum(len(part) for part in rows)
@@ -242,21 +246,19 @@ def _triple_rows(star, bar, r1, r2, cap: int, autos) -> list:
                 bar_t.ravel().take(star.take(r2[a], axis=1) + row_b.T))
 
     scans = []
-
-    def proved(code):
-        # asked in code order, so 3 is asked after 1 and 2, which were
-        # proved when neither was scanned
-        if autos is None:
-            return False
-        if code < 3:
-            return _preserved(autos, (r1, r2)[code - 1])
-        return not scans and all(
-            np.array_equal(*three(a))
-            for a in np.flatnonzero(orbit_labels(idx[:, None], autos, n) == idx))
-
     left = cap
+    proved_1_and_2 = autos is not None
     for code, block in ((1, one), (2, two), (3, three)):
-        if left and not proved(code):
+        if not left:
+            break
+        if code < 3:
+            proved = autos is not None and _preserved(autos, (r1, r2)[code - 1])
+            proved_1_and_2 = proved_1_and_2 and proved
+        else:
+            proved = proved_1_and_2 and all(
+                np.array_equal(*three(a))
+                for a in np.flatnonzero(orbit_labels(idx[:, None], autos, n) == idx))
+        if not proved:
             scans.append(_slab_rows(code, n, left, block))
             left -= len(scans[-1])
     return scans

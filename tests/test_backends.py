@@ -144,15 +144,20 @@ def test_proof_catches_corruption_off_orbit_representatives():
 
 @pytest.fixture
 def scanned(monkeypatch):
-    """The codes of the slab scans that run, in call order."""
-    codes = []
+    """The codes of the slab scans that run, in call order, each with the
+    number of slabs it read."""
+    slabs = {}
     slab_rows = kernels._slab_rows
 
-    def recording(code, *args):
-        codes.append(code)
-        return slab_rows(code, *args)
+    def recording(code, n, cap, block):
+        slabs[code] = 0
+
+        def counted(a):
+            slabs[code] += 1
+            return block(a)
+        return slab_rows(code, n, cap, counted)
     monkeypatch.setattr(kernels, "_slab_rows", recording)
-    return codes
+    return slabs
 
 
 @pytest.mark.parametrize("n, t, s", [(8, 3, 2), (9, 2, 4), (12, 5, 1)])
@@ -163,46 +168,27 @@ def test_each_identity_is_proved_on_its_own(scanned, n, t, s):
     _assert_rows_match_oracle(q.star, q.star, q.star)
     scanned.clear()
     assert not validate_tables(q.star, q.star, q.star).ok
-    assert scanned == [3]
+    assert list(scanned) == [3]
     # one changed R1 cell leaves identity 2 proved, and identity 3 not
     r1 = q.r1.copy()
     r1[1, 2] = (r1[1, 2] + 1) % n
     scanned.clear()
     assert "singular-1" in {v.axiom for v in validate_tables(q.star, r1, q.r2).violations}
-    assert scanned == [1, 3]
+    assert list(scanned) == [1, 3]
 
 
-def test_a_spent_budget_skips_the_later_scans(scanned):
-    # identity 1 alone has 128 rows here, more than a report shows, so
-    # identity 3, whose proof fails with identity 1's, is not scanned
-    q = affine_singquandle(64, 3, 2)
+@pytest.mark.parametrize("n, cell, most_slabs", [(64, (5, 7), 64), (512, (300, 7), 128)])
+def test_a_spent_budget_skips_the_later_scans(scanned, n, cell, most_slabs):
+    # identity 1 alone has more rows than a report shows (128 at n = 64), so
+    # identity 3, whose proof fails with identity 1's, is not scanned.  At
+    # n = 512 the changed cell's row is past n/2, where identity 3's own rows
+    # begin, so a scan of it would read at least n/2 slabs; identity 1's
+    # reads at most n/4.
+    q = affine_singquandle(n, 3, 2)
     r1 = q.r1.copy()
-    r1[5, 7] = (r1[5, 7] + 1) % 64
-    quandle, singular = violation_rows(q.star, q.bar, r1, q.r2)
-    assert not quandle and [row[0] for row in singular].count(1) == 128
-    assert {row[0] for row in singular} == {1, 3, 4, 5}
+    r1[cell] = (r1[cell] + 1) % n
     assert len(validate_tables(q.star, r1, q.r2).violations) == 100
-    assert scanned == [1]
-
-
-def test_a_spent_budget_bounds_the_slabs_read_at_order_512(monkeypatch):
-    # the changed cell's row is past n/2, where identity 3's own rows begin,
-    # so a scan of identity 3 would read at least n/2 slabs; identity 1
-    # fills the report first and its block is the only one called
-    slabs = {}
-    slab_rows = kernels._slab_rows
-
-    def counting(code, n, cap, block):
-        def counted(a):
-            slabs[code] = slabs.get(code, 0) + 1
-            return block(a)
-        return slab_rows(code, n, cap, counted)
-    monkeypatch.setattr(kernels, "_slab_rows", counting)
-    q = affine_singquandle(512, 3, 2)
-    r1 = q.r1.copy()
-    r1[300, 7] = (r1[300, 7] + 1) % 512
-    assert len(validate_tables(q.star, r1, q.r2).violations) == 100
-    assert list(slabs) == [1] and slabs[1] <= 512 // 4
+    assert list(scanned) == [1] and scanned[1] <= most_slabs
 
 
 def test_proof_checks_every_orbit_and_right_invertibility():

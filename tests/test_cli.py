@@ -1,11 +1,9 @@
 import dataclasses
-import io
-import sys
 import tracemalloc
 
 import pytest
 
-from singquandles import cli, corpus
+from singquandles import corpus
 from singquandles.cli import main
 from singquandles.core import MAX_VIOLATIONS
 from singquandles.fileformats import MAX_ORDER, load_singquandle, render_singquandle
@@ -31,35 +29,6 @@ def test_validate_corpus(capsys):
     code, out, _ = run(capsys, "validate", "corpus:X-Z4")
     assert code == 0
     assert "valid singquandle of order 4" in out
-
-
-def test_parser_is_built_once():
-    assert cli.build_parser() is cli.build_parser()
-
-
-def test_shared_parser_survives_usage_errors_and_help(capsys):
-    cli.build_parser.cache_clear()
-    first = run(capsys, "validate", "corpus:X-Z4")
-    code, out, err = run(capsys, "gen", "affine", "--n", "0", "--t", "1", "--s", "0")
-    assert (code, out) == (2, "") and f"order 0 is outside 1..{MAX_ORDER}" in err
-    code, out, _ = run(capsys, "--help")
-    assert code == 0 and out.startswith("usage: singquandles")
-    assert run(capsys, "frobnicate")[0] == 2
-    assert run(capsys, "validate", "corpus:X-Z4") == first
-
-
-def test_shared_parser_prints_to_the_current_streams(capsys, monkeypatch):
-    earlier = io.StringIO()
-    cli.build_parser.cache_clear()
-    with monkeypatch.context() as m:
-        m.setattr(sys, "stdout", earlier)
-        m.setattr(sys, "stderr", earlier)
-        cli.build_parser()
-    code, out, err = run(capsys, "frobnicate")
-    assert (code, out) == (2, "") and err.startswith("usage: singquandles")
-    code, out, err = run(capsys, "--help")
-    assert (code, err) == (0, "") and out.startswith("usage: singquandles")
-    assert earlier.getvalue() == ""
 
 
 def test_validate_reports_the_oracles_first_rows(tmp_path, capsys):
