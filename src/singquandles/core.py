@@ -3,7 +3,8 @@
 A structure of order n lives on elements 0..n-1 and carries three n x n
 tables: ``star`` (a quandle operation), ``r1`` and ``r2`` (the two
 singular-crossing operations).  ``bar``, the right inverse of ``star``,
-is always derived, never supplied.
+is always derived, never supplied, and every :class:`FiniteSingquandle`
+passes the validation below when it is built.
 
 Validation is exact.  The quandle axioms:
 
@@ -150,31 +151,38 @@ def validate_tables(star, r1, r2, order: Optional[int] = None) -> ValidationRepo
     return _validate(star, r1, r2, n)[0]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, kw_only=True)
 class FiniteSingquandle:
-    """A validated finite oriented singquandle.  Construct via the factory
-    functions; the tables arrive already checked and are frozen read-only.
+    """A finite oriented singquandle, validated whenever it is built.
 
-    ``gens`` is the generating set of (X, *) that validation went through
-    (see :meth:`generators`); it is not part of equality or the hash."""
+    Construction runs the full check of all axioms and raises
+    :class:`NotAQuandleError` or :class:`NotASingquandleError`, with the
+    report, on failure; ``dataclasses.replace`` builds, so checks, anew.
+    ``bar`` and ``gens``, the generating set of (X, *) that validation went
+    through (see :meth:`generators`), are derived from the tables and are
+    not part of equality or the hash.  All tables are frozen read-only."""
 
     order: int
     star: np.ndarray
-    bar: np.ndarray
     r1: np.ndarray
     r2: np.ndarray
-    labels: tuple[str, ...] = field(default=())
-    gens: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
+    labels: Sequence[str] = ()
+    bar: np.ndarray = field(init=False)
+    gens: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if not self.labels:
-            object.__setattr__(self, "labels", tuple(str(i) for i in range(self.order)))
-        if len(self.labels) != self.order or len(set(self.labels)) != self.order:
+        report, star, r1, r2, bar, gens = _validate(self.star, self.r1, self.r2, self.order)
+        if not report.ok:  # the report lists quandle rows first
+            if report.violations[0].axiom in _QUANDLE_AXIOMS.values():
+                raise NotAQuandleError(report)
+            raise NotASingquandleError(report)
+        labels = tuple(self.labels) or tuple(str(i) for i in range(self.order))
+        if len(labels) != self.order or len(set(labels)) != self.order:
             raise MalformedTableError("labels must be distinct, one per element")
-        for name in ("star", "bar", "r1", "r2"):  # one dtype: == and the hash agree
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=TABLE_DTYPE))
-        for t in (self.star, self.bar, self.r1, self.r2, self.gens):
-            t.setflags(write=False)
+        for name, value in (("star", star), ("r1", r1), ("r2", r2), ("bar", bar), ("gens", gens)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "labels", labels)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FiniteSingquandle):
@@ -209,9 +217,7 @@ class FiniteSingquandle:
         """A generating set S of (X, *), ascending, as validation found it.
 
         Every x -> x*s with s in S is then an automorphism of the whole
-        structure, and these maps generate Inn(X).  Empty for a structure
-        constructed directly rather than through :func:`table_singquandle`,
-        whose tables nothing has checked.
+        structure, and these maps generate Inn(X).
         """
         return self.gens
 
@@ -271,21 +277,8 @@ class FiniteSingquandle:
 def table_singquandle(order: int, star, r1, r2,
                       labels: Optional[Sequence[str]] = None) -> FiniteSingquandle:
     """Build and fully validate a structure from explicit tables."""
-    report, star, r1, r2, bar, gens = _validate(star, r1, r2, order)
-    if not report.ok:
-        quandle_axioms = set(_QUANDLE_AXIOMS.values())
-        if any(v.axiom in quandle_axioms for v in report.violations):
-            raise NotAQuandleError(report)
-        raise NotASingquandleError(report)
-    return FiniteSingquandle(
-        order=order,
-        star=star,
-        bar=bar,
-        r1=r1,
-        r2=r2,
-        labels=tuple(labels) if labels is not None else (),
-        gens=gens,
-    )
+    return FiniteSingquandle(order=order, star=star, r1=r1, r2=r2,
+                             labels=() if labels is None else labels)
 
 
 @dataclass(frozen=True)

@@ -83,14 +83,6 @@ class NotInvertibleError(ValidationError):
     """Affine parameter t with gcd(t, n) != 1."""
 
 
-class NotRightInvertibleError(ValidationError):
-    """A star column that is not a permutation, so no inverse operation exists."""
-
-    def __init__(self, column: int):
-        self.column = column
-        super().__init__(f"star column {column} is not a permutation")
-
-
 class NotABijectionError(ValidationError):
     """Relabeling map that is not a permutation of the carrier."""
 

@@ -104,10 +104,7 @@ def parse_presentation(text: str) -> SingPresentation:
         relations.append((lhs, rhs))
     if generators is None:
         raise ParseError("missing generators line")
-    try:
-        return SingPresentation(generators, tuple(relations), name=name)
-    except UnboundGeneratorError as exc:
-        raise ParseError(str(exc)) from None
+    return SingPresentation(generators, tuple(relations), name=name)
 
 
 def render_presentation(pres: SingPresentation) -> str:

@@ -201,28 +201,19 @@ def render_term(term: Term) -> str:
 
 
 def eval_term(term: Term, q, assignment) -> int:
-    """Evaluate under a generator assignment (name -> element of q)."""
-    if isinstance(term, Gen):
-        try:
-            return assignment[term.name]
-        except KeyError:
-            raise UnboundGeneratorError(f"generator {term.name!r} is not assigned") from None
-    a = eval_term(term.left, q, assignment)
-    b = eval_term(term.right, q, assignment)
-    if term.op == "*":
-        return int(q.star[a, b])
-    if term.op == "/":
-        return int(q.bar[a, b])
-    if term.op == "R1":
-        return int(q.r1[a, b])
-    return int(q.r2[a, b])
+    """Evaluate under a generator assignment (name -> element of q), as
+    :func:`eval_rows` on one assignment."""
+    missing = [g for g in generators_of(term) if g not in assignment]
+    if missing:
+        raise UnboundGeneratorError(f"generator {missing[0]!r} is not assigned")
+    return int(eval_rows(term, {"*": q.star, "/": q.bar, "R1": q.r1, "R2": q.r2}, assignment))
 
 
 def eval_rows(term: Term, tables, cols):
     """Evaluate term on many assignments at once: tables maps each operator
     of OPS to its n x n integer array, cols maps each generator to an array
-    of values, one per assignment.  A bare generator returns its own column,
-    not a copy."""
+    of values, one per assignment, or each generator to one value.  A bare
+    generator returns its own column, not a copy."""
     if isinstance(term, Gen):
         return cols[term.name]
     return tables[term.op][eval_rows(term.left, tables, cols), eval_rows(term.right, tables, cols)]

@@ -8,9 +8,12 @@ is meaningful evidence rather than a tautology.
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
+
+import numpy as np
 
 from singquandles.core import FiniteSingquandle, table_singquandle
-from singquandles.errors import NotRightInvertibleError, ParseError
+from singquandles.errors import ParseError
 from singquandles.terms import Apply, Gen
 
 
@@ -58,6 +61,20 @@ def profile_of(q: FiniteSingquandle, x: int) -> tuple[int, ...]:
         col = sum(1 for y in range(q.order) if table[y][x] == y)
         out.extend((row, col))
     return tuple(out)
+
+
+@dataclass(frozen=True, eq=False)
+class UncheckedTables:
+    """Tables that no axiom is checked on, for code that needs none: the
+    closure kernel and the isomorphism search read only these fields and
+    the profiles, since a FiniteSingquandle is validated when it is built.
+    An input, not a reference: its profiles are the package's own."""
+
+    order: int
+    star: np.ndarray
+    r1: np.ndarray
+    r2: np.ndarray
+    profiles = FiniteSingquandle.profiles
 
 
 def naive_closure(q: FiniteSingquandle, seed) -> frozenset[int]:
@@ -260,6 +277,14 @@ def seed_orbits(star, seeds) -> list[set[frozenset[int]]]:
         left -= orbit
         orbits.append(orbit)
     return orbits
+
+
+class NotRightInvertibleError(Exception):
+    """A star column that is not a permutation, so no inverse operation exists."""
+
+    def __init__(self, column: int):
+        self.column = column
+        super().__init__(f"star column {column} is not a permutation")
 
 
 def bar_by_columns(star) -> list[list[int]]:

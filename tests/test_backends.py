@@ -7,12 +7,12 @@ import pytest
 from singquandles import corpus, kernels
 from singquandles.core import validate_tables
 from singquandles.diagram import SingularPD, pd_to_presentation
-from singquandles.errors import NotRightInvertibleError
 from singquandles.formulas import affine_singquandle
 from singquandles.polynomial import sqp
 from singquandles.presentation import _plan, counting_invariant
 
 from oracles import (
+    NotRightInvertibleError,
     bar_by_columns,
     element_orbits,
     quandle_ok,
@@ -254,6 +254,24 @@ def test_orbit_labels_of_union_elements_match_bfs(seed):
     moving = kernels.moving_rhos(q.star, q.generators())
     assert kernels.orbit_labels(elements, moving, n).tolist() == want
     assert kernels.orbit_labels(elements, np.ascontiguousarray(q.star.T), n).tolist() == want
+
+
+def test_orbit_labels_reject_a_seed_set_mapped_outside_the_seeds():
+    # over the dihedral star of order 3, x -> x*1 sends the seed set {0} to
+    # {2}: were {0} a coloring's seed set and {2} none, that map would not
+    # be an automorphism
+    star = np.array([[0, 2, 1], [2, 1, 0], [1, 0, 2]])
+    rhos = kernels.moving_rhos(star, np.array([1]))
+    with pytest.raises(RuntimeError, match=r"seed set \[0\] maps to \[2\].*not an automorphism"):
+        kernels.orbit_labels(np.array([[0]]), rhos, 3)
+    assert kernels.orbit_labels(np.array([[0], [2]]), rhos, 3).tolist() == [0, 0]
+
+
+def test_orbit_labels_of_no_seed_sets_are_empty():
+    star = np.array([[0, 2, 1], [2, 1, 0], [1, 0, 2]])
+    rhos = kernels.moving_rhos(star, np.array([1]))
+    assert len(rhos) == 1
+    assert kernels.orbit_labels(np.empty((0, 1), dtype=np.int64), rhos, 3).tolist() == []
 
 
 def test_generating_set_generates():

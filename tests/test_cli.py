@@ -1,4 +1,3 @@
-import dataclasses
 import tracemalloc
 
 import pytest
@@ -37,7 +36,10 @@ def test_validate_reports_the_oracles_first_rows(tmp_path, capsys):
     r1 = q.r1.copy()
     r1[5, 7] = (r1[5, 7] + 1) % 64
     p = tmp_path / "broken.sq"
-    p.write_text(render_singquandle(dataclasses.replace(q, r1=r1)))
+    lines = ["singquandle n=64"]
+    for name, table in (("star", q.star), ("R1", r1), ("R2", q.r2)):
+        lines += [f"{name}:", *(" ".join(map(str, row)) for row in table.tolist())]
+    p.write_text("\n".join(lines) + "\n")
     quandle, singular = violation_rows(q.star, q.bar, r1, q.r2)
     shown = (quandle + singular)[:MAX_VIOLATIONS]
     assert not quandle and len(singular) > len(shown)

@@ -155,5 +155,5 @@ def test_eval_composite_value():
 
 def test_eval_unbound_generator():
     q = corpus.load("X-Z4")
-    with pytest.raises(UnboundGeneratorError):
-        eval_term(parse_term("a*b"), q, {"a": 0})
+    with pytest.raises(UnboundGeneratorError, match="'b'"):
+        eval_term(parse_term("a*b*c"), q, {"a": 0})
