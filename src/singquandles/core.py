@@ -25,12 +25,14 @@ Validation counts preimages once, which decides (ii) and gives bar, takes
 a generating set S of (X, *) and proves each n^3 identity on its own:
 (iii) when each x -> x*s with s in S preserves star, 1 (2) when each also
 preserves R1 (R2), and 3 when 1 and 2 are proved and 3 holds at one element
-of each Inn-orbit (see :mod:`singquandles.kernels`).  The quandle kernel
+of each Inn-orbit, or, for a star with fewer than sqrt(n) distinct columns
+x -> x*y, when the two compositions of such maps that 3 compares at each
+pair (a, c) agree (see :mod:`singquandles.kernels`).  The quandle kernel
 proves once that these maps preserve star and hands them to the singular
 kernel.  Only an identity whose proof fails gets the full scan, which finds
-its witnesses; 4 and 5 are checked on all pairs.  Many Inn-orbits still
-cost n^3: the trivial star a*b == a, or a disjoint union of many small
-quandles with a*b == a across components.
+its witnesses; 4 and 5 are checked on all pairs.  The trivial star a*b == a
+costs n^2.  Many Inn-orbits with many distinct columns still cost n^3: a
+disjoint union of many small quandles with a*b == a across components.
 
 A report shows the first ``MAX_VIOLATIONS`` rows in the order above:
 (i)-(iii), then 1-5, each in witness order.  The kernels share that one

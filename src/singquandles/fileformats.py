@@ -51,7 +51,10 @@ _HEADER_RE = re.compile(r"^(singquandle|singquandle-formula)\s+n\s*=\s*(\d+)\s*$
 # Largest order a file header may declare.  A structure's four int16
 # tables take 8 n^2 bytes (128 MB at 4096); loading the affine formula file
 # of that order peaks at 800 MB, mostly the int64 formula tables.  A
-# larger header fails as a ParseError before any table is allocated.
+# larger header fails as a ParseError before any table is allocated.  The
+# limit bounds memory, not time: validation is O(n^2) per generator and
+# per Inn-orbit, and O(n^2) in all for a star with few distinct columns such
+# as the trivial one, but n^3 for a star with many of both (kernels).
 MAX_ORDER = 4096
 
 

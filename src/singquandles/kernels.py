@@ -14,12 +14,19 @@ checking the moving rho_s for s in S proves axiom (iii), and identity 1
 or 2, for every element.  Idempotence is not used.  Once star, R1 and R2
 are all preserved, identity 3 is invariant under the diagonal action of
 Inn(X), which the rho_s generate, so one n x n slab per Inn-orbit proves
-it.  Identities 4 and 5 are n^2 checks.  :func:`generating_set` finds S
-greedily.  The worst case stays n^3: a star with many Inn-orbits, such as
-the trivial star x*y = x, where |S| = n and every orbit is one element,
-or a disjoint union of many small non-trivial quandles with x*y = x
-across components, where the columns are about n distinct maps and the
-orbits about n/3 for components of order 3.
+it.  A second proof of identity 3 needs neither 1 nor 2: for fixed (a, c)
+both of its sides are bijections of b, so it holds for all b exactly when
+rho_c rho_a = rho_{R2(a,c)} rho_{R1(a,c)}.  With D distinct columns that
+is one comparison of ids of the D^2 compositions on all n^2 pairs, O(D^2 n
++ n^2); it is taken when D^2 < n and the slabs would number k > 1 (k = n
+when 1 or 2 is unproved), so the columns are hashed only until D passes
+sqrt(n).  The trivial star x*y = x, with D = 1 and n orbits, thus costs
+O(n^2).  Identities 4 and 5 are n^2 checks.  :func:`generating_set` finds
+S greedily, after taking in one batch every element whose column is the
+identity map.  The worst case stays n^3: a star with many Inn-orbits and
+many distinct columns, such as a disjoint union of many small non-trivial
+quandles with x*y = x across components, where the columns are about n
+distinct maps and the orbits about n/3 for components of order 3.
 
 Each step runs once: :func:`quandle_violations` counts preimages, which
 gives the right-invertibility rows or bar, and proves that the moving rho_s
@@ -71,6 +78,8 @@ that stop growing leave.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import EmptySeedError
@@ -104,20 +113,21 @@ def _pack(code: int, *cols) -> np.ndarray:
     return out
 
 
-def _slab_rows(code: int, n: int, cap: int, block) -> np.ndarray:
-    """At most cap rows [code, a, b, c] at which the two n x n blocks of
-    ``block(a)`` differ in cell (b, c).  a runs upward and each block is read
-    row-major, which is the order of an (a, b, c) triple loop; the scan stops
-    at the first a that brings the count to cap."""
+def _slab_rows(code: int, values, cap: int, block) -> np.ndarray:
+    """At most cap rows [code, a, b, c], for a in the ascending values, at
+    which the two n x n blocks of ``block(a)`` differ in cell (b, c).  Each
+    block is read row-major, so with values = range(n) this is the order of
+    an (a, b, c) triple loop; the scan stops at the first a that brings the
+    count to cap."""
     found = []
     count = 0
-    for a in range(n):
+    for a in values:
         if count >= cap:
             break
         lhs, rhs = block(a)
         bad = np.flatnonzero(lhs != rhs)[:cap - count]
         if bad.size:
-            b, c = np.divmod(bad, n)
+            b, c = np.divmod(bad, lhs.shape[1])
             found.append(_pack(code, np.full_like(b, a), b, c))
             count += bad.size
     return np.concatenate(found) if found else _NO_ROWS
@@ -135,25 +145,28 @@ def _fresh(values: np.ndarray, seen: np.ndarray) -> np.ndarray:
 
 
 def generating_set(star) -> np.ndarray:
-    """A generating set S of (X, *), ascending.  Greedy: the lowest element
-    outside the *-closure of S so far joins S, then the closure grows
-    semi-naively, multiplying only the new elements with the members, so
-    each product is taken at most twice and the cost is O(n^2)."""
+    """A generating set S of (X, *), ascending.  Every g whose column is the
+    identity map (x*g = x for all x) joins S first, in one batch: these are
+    closed under *, since f*g = f for any two of them, so they enter the
+    closure without a product.  Then greedy: the lowest element outside the
+    *-closure of S so far joins S, and the closure grows semi-naively,
+    multiplying only the new elements with the members, so each product is
+    taken at most twice and the cost is O(n^2)."""
     n = star.shape[0]
-    inside = np.zeros(n, dtype=bool)
-    members = np.empty(0, dtype=np.int64)
-    gens = []
+    inside = np.all(star == np.arange(n)[:, None], axis=0)
+    members = np.flatnonzero(inside)
+    gens = [members]
     for g in range(n):
         if inside[g]:
             continue
-        gens.append(g)
+        gens.append([g])
         inside[g] = True
         new = np.array([g])
         while new.size:
             members = np.concatenate([members, new])
             new = _fresh(np.concatenate([star[np.ix_(new, members)].ravel(),
                                          star[np.ix_(members, new)].ravel()]), inside)
-    return np.array(gens, dtype=np.int64)
+    return np.sort(np.concatenate(gens))
 
 
 def moving_rhos(star: np.ndarray, gens) -> np.ndarray:
@@ -204,7 +217,7 @@ def quandle_violations(star: np.ndarray, cap: int, gens):
         m = star[star[a]]  # m[b, c] = (a*b)*c
         return m, m.ravel().take(flat)
 
-    dist = _NO_ROWS if autos is not None or not left else _slab_rows(2, n, left, distributive)
+    dist = _NO_ROWS if autos is not None or not left else _slab_rows(2, range(n), left, distributive)
     return np.concatenate([idem, inv, dist]), bar, autos
 
 
@@ -215,7 +228,9 @@ def sing_violations(star, bar, r1, r2, cap: int, autos) -> np.ndarray:
 
     Identities 1, 2 and 3 each get their slab scan unless proved: 1 (2) when
     autos is not None and each of its maps preserves R1 (R2), 3 when 1 and 2
-    are and it holds at one element per Inn-orbit.  4 and 5 are checked on
+    are and it holds at one element per Inn-orbit, or by the pair proof of
+    :func:`_pairs_hold` when star has fewer than sqrt(n) distinct columns
+    and 3 would otherwise read more than one slab.  4 and 5 are checked on
     all pairs.  Each step gets what the rows before it left of cap; a step
     left nothing is skipped, proof and all."""
     if not cap:
@@ -255,13 +270,65 @@ def _triple_rows(star, bar, r1, r2, cap: int, autos) -> list:
             proved = autos is not None and _preserved(autos, (r1, r2)[code - 1])
             proved_1_and_2 = proved_1_and_2 and proved
         else:
-            proved = proved_1_and_2 and all(
-                np.array_equal(*three(a))
-                for a in np.flatnonzero(orbit_labels(idx[:, None], autos, n) == idx))
+            # k slabs, one per Inn-orbit once 1 and 2 are proved, else n for
+            # the scan; with D^2 < n distinct columns the pair proof costs
+            # under 2 n^2, no more than k > 1 slabs
+            reps = idx
+            if proved_1_and_2:
+                reps = np.flatnonzero(orbit_labels(idx[:, None], autos, n) == idx)
+            columns = _row_ids(star_t, math.isqrt(n - 1)) if len(reps) > 1 else None
+            if columns is not None:
+                proved = _pairs_hold(star_t, *columns, r1, r2)
+            else:
+                proved = proved_1_and_2 and not len(_slab_rows(3, reps, 1, three))
         if not proved:
-            scans.append(_slab_rows(code, n, left, block))
+            scans.append(_slab_rows(code, range(n), left, block))
             left -= len(scans[-1])
     return scans
+
+
+def _row_ids(rows: np.ndarray, most: int):
+    """int32 ids of the rows of a 2-d array, equal rows sharing one, numbered
+    in order of first appearance, and the index of each id's first row; None
+    as soon as more than most rows are distinct, so no later row is hashed.
+    A dict of row bytes does the work of ``np.unique(axis=0)``, which imports
+    ``numpy.ma``."""
+    ids = np.empty(len(rows), dtype=np.int32)
+    seen: dict[bytes, int] = {}
+    firsts = []
+    for i, row in enumerate(rows):
+        key = row.tobytes()
+        if key not in seen:
+            if len(firsts) == most:
+                return None
+            seen[key] = len(firsts)
+            firsts.append(i)
+        ids[i] = seen[key]
+    return ids, np.array(firsts)
+
+
+def _pairs_hold(star_t, cols, firsts, r1, r2) -> bool:
+    """Whether identity 3 holds at every (a, b, c), for a right-invertible
+    star whose columns rho_x are the rows of star_t, cols[x] the id of rho_x
+    and firsts[i] a column with id i.  For fixed (a, c) both sides of 3 are
+    bijections of b, and they agree for all b exactly when
+    rho_c rho_a == rho_{R2(a,c)} rho_{R1(a,c)}.  Each of the D^2
+    compositions of distinct columns gets an id, compared on all n^2 pairs
+    (a, c): O(D^2 n + n^2), and the compositions fit in one n x n block
+    when D^2 < n."""
+    d = len(firsts)
+    rhos = star_t[firsts]
+    # ids[j*d + i] is the id of rho_j rho_i, x -> (x * firsts[i]) * firsts[j]
+    ids, _ = _row_ids(rhos[:, rhos].reshape(d * d, -1), d * d)
+    # fancy indexing casts int16 and int32 indices in buffered chunks, where
+    # ``take`` would first copy them whole to int64
+    key = cols[r2]
+    key *= d
+    key += cols[r1]
+    rhs = ids[key]
+    del key
+    lhs = ids.reshape(d, d).T[cols].take(cols, axis=1)  # lhs[a, c] = ids[cols[c]*d + cols[a]]
+    return np.array_equal(lhs, rhs)
 
 
 def _pair_rows(star, r1, r2, cap: int) -> list:

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -144,20 +145,34 @@ def test_proof_catches_corruption_off_orbit_representatives():
 
 @pytest.fixture
 def scanned(monkeypatch):
-    """The codes of the slab scans that run, in call order, each with the
-    number of slabs it read."""
+    """The codes of the slab reads that run, scans and identity 3's proof at
+    one element per Inn-orbit alike, in order of first call, each with the
+    number of slabs its last call read."""
     slabs = {}
     slab_rows = kernels._slab_rows
 
-    def recording(code, n, cap, block):
+    def recording(code, values, cap, block):
         slabs[code] = 0
 
         def counted(a):
             slabs[code] += 1
             return block(a)
-        return slab_rows(code, n, cap, counted)
+        return slab_rows(code, values, cap, counted)
     monkeypatch.setattr(kernels, "_slab_rows", recording)
     return slabs
+
+
+@pytest.fixture
+def pair_proofs(monkeypatch):
+    """The verdict of each run of identity 3's pair proof, in call order."""
+    verdicts = []
+    pairs_hold = kernels._pairs_hold
+
+    def recording(*args):
+        verdicts.append(pairs_hold(*args))
+        return verdicts[-1]
+    monkeypatch.setattr(kernels, "_pairs_hold", recording)
+    return verdicts
 
 
 @pytest.mark.parametrize("n, t, s", [(8, 3, 2), (9, 2, 4), (12, 5, 1)])
@@ -187,6 +202,7 @@ def test_a_spent_budget_skips_the_later_scans(scanned, n, cell, most_slabs):
     q = affine_singquandle(n, 3, 2)
     r1 = q.r1.copy()
     r1[cell] = (r1[cell] + 1) % n
+    scanned.clear()  # building q read one identity-3 slab per Inn-orbit
     assert len(validate_tables(q.star, r1, q.r2).violations) == 100
     assert list(scanned) == [1] and scanned[1] <= most_slabs
 
@@ -214,17 +230,138 @@ def test_proof_checks_every_orbit_and_right_invertibility():
 
 def test_proof_matches_oracle_on_shift_structures():
     # trivial star: every rho_s is the identity and every orbit one element
-    for n in range(1, 7):
+    for n in range(1, 8):
         for s in range(n):
             q = shift_singquandle(n, s)
             _assert_rows_match_oracle(q.star, q.r1, q.r2)
+
+
+def test_pair_proof_matches_oracle_over_the_trivial_star(pair_proofs):
+    # every rho is the identity, so identities 1-3 hold whatever R1 and R2
+    # are, and only 4 and 5 have rows
+    rng = np.random.default_rng(23)
+    for n in range(2, 9):
+        star = np.repeat(np.arange(n)[:, None], n, axis=1)
+        for _ in range(4):
+            r1, r2 = rng.integers(n, size=(2, n, n))
+            _assert_rows_match_oracle(star, r1, r2)
+    assert pair_proofs and all(pair_proofs)
+
+
+def _swap_star(n: int, moving) -> np.ndarray:
+    """The star whose column x swaps 0 and 1 for x in moving, a nonempty
+    subset of 2..n-1, and is the identity map otherwise.  Its one moving map
+    commutes with itself and fixes every x in moving, so this is a quandle,
+    with D = 2 distinct columns and n - 1 Inn-orbits: {0, 1} and each other
+    element alone."""
+    star = np.repeat(np.arange(n)[:, None], n, axis=1)
+    star[0, moving], star[1, moving] = 1, 0
+    return star
+
+
+def test_pair_proof_matches_oracle_on_swap_stars(scanned, pair_proofs):
+    # D^2 < n and k > 1, so identity 3 goes to the pair proof.  R1 is drawn
+    # among the tables that the swap preserves, which is identity 1, and R2
+    # is forced by identity 4; the draws that pass identities 2 and 5 too but
+    # fail 3 are kept, some of them at a = 1, which is not the least element
+    # of its orbit {0, 1}
+    rng = np.random.default_rng(17)
+    kept = off_least = 0
+    for n in (5, 6):
+        idx = np.arange(n)
+        swap = np.array([1, 0, *range(2, n)])
+        key, moved = idx[:, None] * n + idx, swap[:, None] * n + swap
+        for _ in range(40):
+            moving = [x for x in range(2, n) if rng.random() < 0.5] or [n - 1]
+            star = _swap_star(n, moving)
+            r1 = rng.integers(n, size=(n, n))
+            r1[key == moved] = rng.integers(2, n, size=(n - 2) ** 2)  # pairs the swap fixes
+            r1 = np.where(key <= moved, r1, swap[r1[swap][:, swap]])  # R1(σx, σy) = σ R1(x, y)
+            r2 = r1[idx[None, :], star]  # R2(a, b) = R1(b, a*b)
+            rows = violation_rows(star, bar_by_columns(star), r1, r2)[1]
+            if {row[0] for row in rows} != {3}:
+                continue
+            pair_proofs.clear()
+            _assert_rows_match_oracle(star, r1, r2)
+            assert pair_proofs and not any(pair_proofs)
+            kept += 1
+            off_least += any(row[1] == 1 for row in rows)
+    assert kept >= 10 and off_least >= 5
+    # with R1(x, y) = y and R2(x, y) = x*y all five identities hold, and the
+    # pair proof reads no slab
+    star = _swap_star(9, [3, 8])
+    scanned.clear()
+    pair_proofs.clear()
+    assert validate_tables(star, np.repeat(np.arange(9)[None, :], 9, axis=0), star).ok
+    assert pair_proofs == [True] and scanned == {}
+
+
+def test_pair_proof_matches_oracle_with_columns_that_do_not_commute(pair_proofs):
+    # affine(5, 2) on 0..4 beside 32 elements with trivial columns, x*y = x
+    # across: D = 6 distinct columns, five of order 4 that pairwise do not
+    # commute, and k = 33.  R1(x, y) = y and R2(x, y) = x*y satisfy the five
+    # identities over any quandle; the pair proof must say so, and the rows
+    # must match after one changed cell of star, R1 or R2
+    n, idx, five = 37, np.arange(37), np.arange(5)
+    star = np.repeat(idx[:, None], n, axis=1)
+    star[:5, :5] = (2 * five[:, None] - five) % 5
+    r1 = np.repeat(idx[None, :], n, axis=0)
+    assert validate_tables(star, r1, star).ok and pair_proofs == [True]
+    rng = random.Random(31)
+    for which in range(3):
+        for _ in range(2):
+            tables = [star.copy(), r1.copy(), star.copy()]
+            a, b = rng.randrange(5), rng.randrange(n)
+            tables[which][a, b] = (tables[which][a, b] + 1 + rng.randrange(n - 1)) % n
+            _assert_rows_match_oracle(*tables, caps=(100,))
+
+
+def test_identity_3_proof_is_chosen_by_columns_and_orbits(scanned, pair_proofs):
+    # the trivial star has one distinct column and n orbits: the pair proof
+    # reads no slab.  affine(256,3,2) has 2 orbits and n/2 distinct columns:
+    # one slab per orbit
+    shift_singquandle(256, 1)
+    assert pair_proofs == [True] and scanned == {}
+    pair_proofs.clear()
+    affine_singquandle(256, 3, 2)
+    assert pair_proofs == [] and scanned == {3: 2}
+    # the pair proof needs neither identity 1 nor 2: over a swap star,
+    # R1(a, c) = f(a) with f(1) = 0 breaks identity 1 but keeps 3
+    star = _swap_star(9, [4, 6])
+    f = np.array([0, 0, *range(2, 9)])
+    r1, r2 = np.repeat(f[:, None], 9, axis=1), np.repeat(np.arange(9)[None, :], 9, axis=0)
+    pair_proofs.clear()
+    scanned.clear()
+    axioms = {v.axiom for v in validate_tables(star, r1, r2).violations}
+    assert "singular-1" in axioms and "singular-3" not in axioms
+    assert pair_proofs == [True] and 3 not in scanned
+
+
+def test_trivial_star_validation_memory_at_order_1024():
+    # the pair proof holds int32 n x n blocks, gathered by fancy indexing;
+    # with one identity-3 slab per element in its place, validation of these
+    # tables peaked at 24.2 MB
+    n = 1024
+    idx = np.arange(n, dtype=np.int16)
+    star = np.repeat(idx[:, None], n, axis=1)
+    r1 = np.repeat(idx[None, :], n, axis=0)
+    tracemalloc.start()
+    try:
+        report = validate_tables(star, r1, star)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok
+    assert peak <= 24.2 * 2**20
 
 
 # A disjoint union of many small dihedral quandles: many Inn-orbits and
 # many moving rho_s at once, unlike the affine (few orbits) and trivial
 # (no moving rho_s) targets.
 
-def test_union_rows_match_oracle():
+def test_union_rows_match_oracle(pair_proofs):
+    # about n distinct columns: identity 3 takes the slab path, never the
+    # pair proof
     rng = random.Random(13)
     n = 3 * 6 + 5
     q = union_singquandle([3] * 6 + [5], np.random.default_rng(1).permutation(n))
@@ -241,6 +378,7 @@ def test_union_rows_match_oracle():
             a, b = rng.randrange(n), rng.randrange(n)
             tables[which][a, b] = (tables[which][a, b] + 1 + rng.randrange(n - 1)) % n
             _assert_rows_match_oracle(*tables)
+    assert pair_proofs == []
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -284,9 +422,38 @@ def test_generating_set_generates():
         assert star_closure(star.tolist(), kernels.generating_set(star).tolist()) == set(range(len(star)))
 
 
-def test_generating_set_of_trivial_star_is_everything():
+def test_generating_set_of_trivial_star_is_everything(monkeypatch):
+    # every column is the identity map, so S is X without a product taken
+    fresh = []
+    monkeypatch.setattr(kernels, "_fresh", lambda *args: fresh.append(args))
     q = affine_singquandle(64, 1, 0)  # a*b = a
     assert kernels.generating_set(q.star).tolist() == list(range(64))
+    assert fresh == []
+
+
+def test_generating_set_holds_every_identity_column_and_generates():
+    rng = np.random.default_rng(29)
+    stars = [corpus.load(cid).star for cid in ("X-Z4", "Y-Z4", "X-Z8-a", "X-Z8-b")]
+    for n in (5, 8, 13):
+        perm = rng.permutation(n)
+        stars += [_swap_star(n, [x for x in range(2, n) if rng.random() < 0.5] or [2]),
+                  shift_singquandle(n).relabel(perm).star,
+                  affine_singquandle(n, 1 + (n % 2), 3).relabel(perm).star]
+    stars += [union_singquandle([3, 3, 5], rng.permutation(11)).star,
+              union_singquandle([3, 5, 7, 3], rng.permutation(18)).star]
+    for star in stars:
+        n = len(star)
+        gens = kernels.generating_set(star).tolist()
+        assert gens == sorted(set(gens))
+        fixed = np.flatnonzero((star == np.arange(n)[:, None]).all(axis=0))
+        assert set(fixed.tolist()) <= set(gens)
+        assert star_closure(star.tolist(), gens) == set(range(n))
+
+
+@pytest.mark.parametrize("n, t", [(48, 47), (64, 3), (128, 3), (256, 3)])
+def test_generating_set_of_benchmark_affine_targets(n, t):
+    # no column of these is the identity map, so S is the greedy one
+    assert kernels.generating_set(affine_singquandle(n, t, 2).star).tolist() == [0, 1]
 
 
 def test_violation_cap_bounds_the_total_in_report_order():
