@@ -122,6 +122,10 @@ def _cmd_color(args) -> int:
     pres = _load_link_arg(args.link)
     q = _load_singquandle_arg(args.structure)
     rows = _coloring_rows(pres, q)
+    if args.list:  # before any output, so a failing closure prints nothing
+        seeds, which, _ = seed_sets(rows, q.order)
+        images = [",".join(q.labels[x] for x in row if x < q.order)
+                  for row in kernels.closures((q.star, q.r1, q.r2), seeds, q.order).tolist()]
     if args.format == "machine":
         print(len(rows))
     else:
@@ -129,9 +133,6 @@ def _cmd_color(args) -> int:
     if args.list:
         if args.format != "machine":
             print("generators: " + " ".join(pres.generators))
-        seeds, which, _ = seed_sets(rows, q.order)
-        images = [",".join(q.labels[x] for x in row if x < q.order)
-                  for row in kernels.closures((q.star, q.r1, q.r2), seeds, q.order).tolist()]
         for row, i in zip(rows.tolist(), which.tolist()):
             values = " ".join(q.labels[x] for x in row)
             print(f"{values} -> {{{images[i]}}}")

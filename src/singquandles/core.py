@@ -35,8 +35,10 @@ costs n^2.  Many Inn-orbits with many distinct columns still cost n^3: a
 disjoint union of many small quandles with a*b == a across components.
 
 A report shows the first ``MAX_VIOLATIONS`` rows in the order above:
-(i)-(iii), then 1-5, each in witness order.  The kernels share that one
-budget, so once it is spent no later axiom is scanned, or proved.
+(i)-(iii), then 1-5, each in witness order.  Each kernel yields its rows
+as a lazy stream in that order and stops drawing it once the rows are in,
+and the singular kernel gets what the quandle rows left, so once that one
+budget is spent no later axiom is scanned, or proved.
 
 Elements may carry display labels (defaults are the decimal residues).
 All tables are int16, converted once when accepted (8 n^2 bytes for the

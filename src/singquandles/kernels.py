@@ -36,21 +36,20 @@ Inn-orbits come from :func:`orbit_labels`, which also groups phi's seed sets.
 A proof decides only whether an identity's scan runs, so the reported rows
 never depend on it.  The scans of the n^3 identities run in slabs over
 ``a``: one n x n block per identity per step, built from row gathers and
-flat ``take`` on the n x n tables, so memory stays O(n^2).  Each identity
-reads its slabs in (a, b, c) order and stops once the rows found so far, its
-own and those of the steps before it, reach ``cap``.  The kernels convert no
-table.  A structure's tables are int16 (see :mod:`singquandles.core`), and
-every flat index ``x * n + y`` built from their entries is int64, since an
-int16 product wraps from n = 182 on.
+flat ``take`` on the n x n tables, so memory stays O(n^2).  The kernels
+convert no table.  A structure's tables are int16 (see
+:mod:`singquandles.core`), and every flat index ``x * n + y`` built from
+their entries is int64, since an int16 product wraps from n = 182 on.
 
 Violation rows are ``[code, a, b, c]`` with unused slots set to -1.  The
 ``cap`` argument bounds the rows reported in all, in report order: the
 quandle codes 0, 1, 2, then the singular codes 1..5, each code's rows in
-(a, b, c) order.  Each step gets what the steps before it left of cap, and
-a step left nothing is skipped, scan and proof alike, so a report stays
-small even for wildly invalid tables and no scan runs for rows it would not
-show; :mod:`singquandles.core` hands the singular kernel what the quandle
-rows left.
+(a, b, c) order.  Each kernel's checks are one generator of row arrays in
+that order, which runs a proof or reads a slab only when drawn, and
+:func:`_first` draws it until cap rows are in; so nothing behind the cap
+runs, and a report stays small even for wildly invalid tables.
+:mod:`singquandles.core` hands the singular kernel what the quandle rows
+left.
 Quandle codes: 0 idempotence (witness a), 1 right-invertibility (witness
 column y and value z with preimage count != 1), 2 self-distributivity
 (witness a, b, c).  Singular codes 1..5 follow the five compatibility
@@ -113,24 +112,34 @@ def _pack(code: int, *cols) -> np.ndarray:
     return out
 
 
-def _slab_rows(code: int, values, cap: int, block) -> np.ndarray:
-    """At most cap rows [code, a, b, c], for a in the ascending values, at
-    which the two n x n blocks of ``block(a)`` differ in cell (b, c).  Each
-    block is read row-major, so with values = range(n) this is the order of
-    an (a, b, c) triple loop; the scan stops at the first a that brings the
-    count to cap."""
-    found = []
+def _first(parts, cap: int) -> np.ndarray:
+    """The first cap rows of a stream of row arrays, as one array.  A part
+    is drawn only while rows are missing, so nothing after the part that
+    fills cap runs."""
+    found = [_NO_ROWS]
     count = 0
-    for a in values:
-        if count >= cap:
+    parts = iter(parts)
+    while count < cap:
+        part = next(parts, None)
+        if part is None:
             break
+        found.append(part[:cap - count])
+        count += len(found[-1])
+    return np.concatenate(found)
+
+
+def _slab_rows(code: int, values, cap: int, block):
+    """Rows [code, a, b, c], one array per a in the ascending values at
+    which the two n x n blocks of ``block(a)`` differ in some cell (b, c),
+    cut to its first cap rows.  A block is read, row-major, only as the
+    stream is drawn, so with values = range(n) the rows come in the order of
+    an (a, b, c) triple loop and no slab after the last one drawn is read."""
+    for a in values:
         lhs, rhs = block(a)
-        bad = np.flatnonzero(lhs != rhs)[:cap - count]
+        bad = np.flatnonzero(lhs != rhs)[:cap]
         if bad.size:
             b, c = np.divmod(bad, lhs.shape[1])
-            found.append(_pack(code, np.full_like(b, a), b, c))
-            count += bad.size
-    return np.concatenate(found) if found else _NO_ROWS
+            yield _pack(code, np.full_like(b, a), b, c)
 
 
 def _fresh(values: np.ndarray, seen: np.ndarray) -> np.ndarray:
@@ -187,38 +196,42 @@ def quandle_violations(star: np.ndarray, cap: int, gens):
     """The first cap rows of the quandle axioms in report order, with bar,
     the right inverse of star (None when it has none), and the moving rho_s
     of ``gens``, a generating set of (X, *), when they are proved to
-    preserve star (None when not, and when the idempotence rows fill cap,
-    since the singular kernel then gets nothing to scan).
+    preserve star (None when not, and when the rows before the proof fill
+    cap, since the singular kernel then gets nothing to scan).
 
     One preimage count decides (ii): its code-1 rows, or bar when every
-    count is 1.  Given bar and room left in cap, one n x n comparison per
-    moving rho_s proves self-distributivity; when that proof fails, the slab
-    scan runs."""
+    count is 1.  The rows are the first cap of one stream: the idempotence
+    rows, the code-1 rows, then, given bar, one n x n comparison per moving
+    rho_s that proves self-distributivity, and the slab scan when that proof
+    fails or there is no bar."""
     n = star.shape[0]
     idx = np.arange(n, dtype=np.int64)
-
-    idem = _pack(0, np.flatnonzero(star[idx, idx] != idx)[:cap])
-
     # flat[x, y] = y*n + x*y indexes cell (y, x*y) of an n x n table, so
     # counts[y, z] = number of x with x*y = z; each must be 1
     flat = star + idx * n
     bad = np.flatnonzero(np.bincount(flat.ravel(), minlength=n * n) != 1)
-    inv = _pack(1, *np.divmod(bad[:cap - len(idem)], n))
-    left = cap - len(idem) - len(inv)
     bar = autos = None
     if not bad.size:
         bar = np.empty_like(star)
         bar[star, idx] = idx[:, None]
-        if left:
-            rhos = moving_rhos(star, gens)
-            autos = rhos if _preserved(rhos, star) else None
 
     def distributive(a):  # (a*b)*c == (a*c)*(b*c)
         m = star[star[a]]  # m[b, c] = (a*b)*c
         return m, m.ravel().take(flat)
 
-    dist = _NO_ROWS if autos is not None or not left else _slab_rows(2, range(n), left, distributive)
-    return np.concatenate([idem, inv, dist]), bar, autos
+    def stream():
+        nonlocal autos
+        yield _pack(0, np.flatnonzero(star[idx, idx] != idx))
+        yield _pack(1, *np.divmod(bad[:cap], n))
+        if bar is not None:
+            rhos = moving_rhos(star, gens)
+            if _preserved(rhos, star):
+                autos = rhos
+                return
+        yield from _slab_rows(2, range(n), cap, distributive)
+
+    rows = _first(stream(), cap)
+    return rows, bar, autos
 
 
 def sing_violations(star, bar, r1, r2, cap: int, autos) -> np.ndarray:
@@ -231,60 +244,65 @@ def sing_violations(star, bar, r1, r2, cap: int, autos) -> np.ndarray:
     are and it holds at one element per Inn-orbit, or by the pair proof of
     :func:`_pairs_hold` when star has fewer than sqrt(n) distinct columns
     and 3 would otherwise read more than one slab.  4 and 5 are checked on
-    all pairs.  Each step gets what the rows before it left of cap; a step
-    left nothing is skipped, proof and all."""
-    if not cap:
-        return _NO_ROWS
-    # the scans' transposes are freed before the pair checks' indices exist
-    rows = _triple_rows(star, bar, r1, r2, cap, autos)
-    left = cap - sum(len(part) for part in rows)
-    return np.concatenate([_NO_ROWS, *rows, *_pair_rows(star, r1, r2, left)])
+    all pairs.  These steps form the stream of :func:`_sing_rows`, drawn
+    until cap rows are in, so no step after the cap runs, proof or scan."""
+    return _first(_sing_rows(star, bar, r1, r2, cap, autos), cap)
 
 
-def _triple_rows(star, bar, r1, r2, cap: int, autos) -> list:
-    """The rows of identities 1, 2 and 3, at most cap in all, as one array
-    per scan that ran."""
+def _sing_rows(star, bar, r1, r2, cap: int, autos):
+    """The rows of identities 1-5 in report order, as a stream of arrays of
+    at most cap rows each; each proof and scan runs when it is drawn."""
     n = star.shape[0]
     idx = np.arange(n, dtype=np.int64)
     star_t = np.ascontiguousarray(star.T)  # star_t[b, c] = c*b
-    bar_t = np.ascontiguousarray(bar.T)    # bar_t[b, c] = c/b
+    bar_t = None                           # bar_t[b, c] = c/b, once read
     row_b = idx[:, None] * n               # flat offset of row b
+
+    def transposed_bar():  # built for the first slab of 2 or 3; a valid table reads none
+        nonlocal bar_t
+        if bar_t is None:
+            bar_t = np.ascontiguousarray(bar.T)
+        return bar_t
 
     def one(a):  # R1(a/b, c)*b == R1(a, c*b)
         return star_t.ravel().take(r1[bar[a]] + row_b), r1[a].take(star_t)
 
     def two(a):  # R2(a/b, c) == R2(a, c*b)/b
-        return r2[bar[a]], bar_t.ravel().take(r2[a].take(star_t) + row_b)
+        return r2[bar[a]], transposed_bar().ravel().take(r2[a].take(star_t) + row_b)
 
     def three(a):  # (b/R1(a,c))*a == (b*R2(a,c))/c
         return (star_t[a].take(bar.take(r1[a], axis=1)),
-                bar_t.ravel().take(star.take(r2[a], axis=1) + row_b.T))
+                transposed_bar().ravel().take(star.take(r2[a], axis=1) + row_b.T))
 
-    scans = []
-    left = cap
-    proved_1_and_2 = autos is not None
-    for code, block in ((1, one), (2, two), (3, three)):
-        if not left:
-            break
-        if code < 3:
-            proved = autos is not None and _preserved(autos, (r1, r2)[code - 1])
-            proved_1_and_2 = proved_1_and_2 and proved
-        else:
-            # k slabs, one per Inn-orbit once 1 and 2 are proved, else n for
-            # the scan; with D^2 < n distinct columns the pair proof costs
-            # under 2 n^2, no more than k > 1 slabs
-            reps = idx
-            if proved_1_and_2:
-                reps = np.flatnonzero(orbit_labels(idx[:, None], autos, n) == idx)
-            columns = _row_ids(star_t, math.isqrt(n - 1)) if len(reps) > 1 else None
-            if columns is not None:
-                proved = _pairs_hold(star_t, *columns, r1, r2)
-            else:
-                proved = proved_1_and_2 and not len(_slab_rows(3, reps, 1, three))
-        if not proved:
-            scans.append(_slab_rows(code, range(n), left, block))
-            left -= len(scans[-1])
-    return scans
+    proved_1_and_2 = True
+    for code, table, block in ((1, r1, one), (2, r2, two)):
+        if not (autos is not None and _preserved(autos, table)):
+            proved_1_and_2 = False
+            yield from _slab_rows(code, range(n), cap, block)
+    # k slabs, one per Inn-orbit once 1 and 2 are proved, else n for the
+    # scan; with D^2 < n distinct columns the pair proof costs under 2 n^2,
+    # no more than k > 1 slabs
+    reps = idx
+    if proved_1_and_2:
+        reps = np.flatnonzero(orbit_labels(idx[:, None], autos, n) == idx)
+    columns = _row_ids(star_t, math.isqrt(n - 1)) if len(reps) > 1 else None
+    if columns is not None:
+        proved = _pairs_hold(star_t, *columns, r1, r2)
+    else:
+        proved = proved_1_and_2 and next(_slab_rows(3, reps, 1, three), None) is None
+    if not proved:
+        yield from _slab_rows(3, range(n), cap, three)
+
+    # 4: R2(a,b) == R1(b, a*b) and 5: R1(a,b)*R2(a,b) == R2(b, a*b), from
+    # int64 flat indices held one at a time once the transposes are freed
+    del star_t, bar_t
+    flat = star + idx * n  # flat[a, b] = b*n + a*b indexes cell (b, a*b)
+    yield _pack(4, *np.divmod(np.flatnonzero(r2 != r1.ravel().take(flat))[:cap], n))
+    rhs = r2.ravel().take(flat)
+    del flat
+    pair = np.multiply(r1, n, dtype=np.int64)
+    pair += r2             # pair[a, b] indexes cell (R1(a,b), R2(a,b))
+    yield _pack(5, *np.divmod(np.flatnonzero(star.ravel().take(pair) != rhs)[:cap], n))
 
 
 def _row_ids(rows: np.ndarray, most: int):
@@ -329,25 +347,6 @@ def _pairs_hold(star_t, cols, firsts, r1, r2) -> bool:
     del key
     lhs = ids.reshape(d, d).T[cols].take(cols, axis=1)  # lhs[a, c] = ids[cols[c]*d + cols[a]]
     return np.array_equal(lhs, rhs)
-
-
-def _pair_rows(star, r1, r2, cap: int) -> list:
-    """The rows of identities 4, R2(a,b) == R1(b, a*b), and 5,
-    R1(a,b)*R2(a,b) == R2(b, a*b), at most cap in all, from n x n int64
-    flat indices held one at a time."""
-    if not cap:
-        return []
-    n = star.shape[0]
-    flat = star + np.arange(n, dtype=np.int64) * n  # flat[a, b] = b*n + a*b indexes cell (b, a*b)
-    four = _pack(4, *np.divmod(np.flatnonzero(r2 != r1.ravel().take(flat))[:cap], n))
-    if len(four) == cap:
-        return [four]
-    rhs = r2.ravel().take(flat)
-    del flat
-    pair = np.multiply(r1, n, dtype=np.int64)
-    pair += r2             # pair[a, b] indexes cell (R1(a,b), R2(a,b))
-    bad = np.flatnonzero(star.ravel().take(pair) != rhs)[:cap - len(four)]
-    return [four, _pack(5, *np.divmod(bad, n))]
 
 
 def _share(cols: dict, fn) -> dict:

@@ -82,10 +82,8 @@ def parse_presentation(text: str) -> SingPresentation:
         if line.startswith("generators:"):
             if generators is not None:
                 raise ParseError(f"line {lineno}: second generators line")
-            names = [g.strip() for g in line[len("generators:"):].replace(",", " ").split()]
-            if not names:
-                raise ParseError(f"line {lineno}: empty generator list")
-            generators = tuple(names)
+            # may be empty, as for the diagram with no components
+            generators = tuple(line[len("generators:"):].replace(",", " ").split())
             continue
         if generators is None:
             raise ParseError(f"line {lineno}: relations before the generators line")

@@ -207,6 +207,35 @@ def test_a_spent_budget_skips_the_later_scans(scanned, n, cell, most_slabs):
     assert list(scanned) == [1] and scanned[1] <= most_slabs
 
 
+def test_a_budget_spent_by_idempotence_starts_no_proof_or_scan(monkeypatch):
+    # x*y = x+1 mod 128 is right-invertible and fails idempotence at all 128
+    # elements, which fill the report alone: no proof of star, no scan and
+    # nothing of the singular kernel runs
+    n = 128
+    star = np.repeat((np.arange(n)[:, None] + 1) % n, n, axis=1)
+    called = []
+    for name in ("moving_rhos", "_preserved", "_slab_rows", "_row_ids", "_pairs_hold",
+                 "orbit_labels"):
+        def recording(*args, name=name, fn=getattr(kernels, name)):
+            called.append(name)
+            return fn(*args)
+        monkeypatch.setattr(kernels, name, recording)
+    report = validate_tables(star, np.zeros_like(star), np.zeros_like(star))
+    assert [v.axiom for v in report.violations] == ["idempotence"] * 100
+    assert called == []
+
+
+def test_first_draws_nothing_after_the_cap():
+    def parts():
+        yield np.zeros((2, 4), dtype=np.int64)
+        yield np.ones((3, 4), dtype=np.int64)
+        raise AssertionError("a part was drawn after the cap was reached")
+    assert kernels._first(parts(), 4).tolist() == [[0] * 4] * 2 + [[1] * 4] * 2
+    assert len(kernels._first(parts(), 5)) == 5
+    assert kernels._first(parts(), 0).shape == (0, 4)
+    assert len(kernels._first(iter([np.zeros((1, 4), dtype=np.int64)]), 3)) == 1
+
+
 def test_proof_checks_every_orbit_and_right_invertibility():
     # R1 is preserved by every rho_s and identities 1, 2, 4 and 5 hold, but
     # identity 3 fails, though never at a = 0, the first of the orbit

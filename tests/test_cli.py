@@ -318,6 +318,28 @@ def test_pd2rel_output_parses(capsys):
     assert len(pres.relations) == 6
 
 
+def test_empty_diagram_compiles_to_a_presentation_that_colors(tmp_path, capsys):
+    pd = tmp_path / "empty.pd"
+    pd.write_text("")
+    code, out, _ = run(capsys, "pd2rel", str(pd))
+    assert code == 0 and out == "generators: \n"
+    pres = tmp_path / "empty.pres"
+    pres.write_text(out)
+    for link in (pd, pres):
+        assert run(capsys, "color", str(link), "corpus:X-Z4") == (0, "1 colorings\n", "")
+
+
+@pytest.mark.parametrize("fmt", ("human", "machine"))
+def test_color_list_of_a_link_without_generators_prints_nothing(tmp_path, capsys, fmt):
+    # its one coloring has an empty image, which closure refuses; the
+    # count is not printed before that failure
+    pd = tmp_path / "empty.pd"
+    pd.write_text("")
+    code, out, err = run(capsys, "color", "--list", "--format", fmt, str(pd), "corpus:X-Z4")
+    assert code == 4 and out == ""
+    assert err == "error: closure needs a nonempty seed\n"
+
+
 def test_pd2rel_rejects_presentation_id(capsys):
     code, _, err = run(capsys, "pd2rel", "corpus:K2")
     assert code == 3

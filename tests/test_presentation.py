@@ -57,6 +57,8 @@ def test_parse_errors_carry_line_numbers():
         P("x = x\n")  # relations before generators
     with pytest.raises(ParseError):
         P("generators: x, x\n")
+    with pytest.raises(ParseError, match="missing generators line"):
+        P("name: empty\n")  # an empty generator list parses, a missing one not
 
 
 def test_duplicate_generators_rejected():
@@ -65,8 +67,8 @@ def test_duplicate_generators_rejected():
 
 
 def test_roundtrip():
-    pres = corpus.load("6_11l")
-    assert parse_presentation(render_presentation(pres)) == pres
+    for pres in (corpus.load("6_11l"), SingPresentation((), ())):
+        assert parse_presentation(render_presentation(pres)) == pres
 
 
 @pytest.mark.parametrize("link", LINKS)
