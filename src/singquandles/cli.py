@@ -32,29 +32,33 @@ from .presentation import (
 USAGE_ERROR, PARSE_ERROR, VALIDATION_ERROR = 2, 3, 4
 
 
+def _resolve(arg: str, kinds, what: str, load_path):
+    """The entry a ``corpus:<id>`` argument names, if one of kinds; else load_path(arg)."""
+    if not arg.startswith("corpus:"):
+        return load_path(arg)
+    cid = arg[len("corpus:"):]
+    obj = corpus.load(cid)
+    if not isinstance(obj, kinds):
+        raise ParseError(f"corpus id {cid!r} is not a {what}")
+    return obj
+
+
 def _load_singquandle_arg(arg: str) -> FiniteSingquandle:
-    if arg.startswith("corpus:"):
-        obj = corpus.load(arg[len("corpus:"):])
-        if not isinstance(obj, FiniteSingquandle):
-            raise ParseError(f"corpus id {arg[len('corpus:'):]!r} is not a singquandle")
-        return obj
-    return load_singquandle(arg)
+    return _resolve(arg, FiniteSingquandle, "singquandle", load_singquandle)
+
+
+def _read_link(path: str):
+    """A link file as a presentation, or as a PD code when it has no generators line."""
+    text = read_text(path)
+    if any(ln.split("#", 1)[0].strip().startswith("generators:") for ln in text.splitlines()):
+        return parse_presentation(text)
+    return parse_pd(text)
 
 
 def _load_link_arg(arg: str) -> SingPresentation:
     """A link given as a presentation or as a PD code (compiled on the spot)."""
-    if arg.startswith("corpus:"):
-        obj = corpus.load(arg[len("corpus:"):])
-        if isinstance(obj, SingularPD):
-            return pd_to_presentation(obj)
-        if isinstance(obj, SingPresentation):
-            return obj
-        raise ParseError(f"corpus id {arg[len('corpus:'):]!r} is not a link")
-    text = read_text(arg)
-    stripped = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
-    if any(ln.startswith("generators:") for ln in stripped):
-        return parse_presentation(text)
-    return pd_to_presentation(parse_pd(text))
+    link = _resolve(arg, (SingPresentation, SingularPD), "link", _read_link)
+    return pd_to_presentation(link) if isinstance(link, SingularPD) else link
 
 
 def _print_poly(p: SqPolynomial, fmt: str) -> None:
@@ -160,13 +164,7 @@ def _cmd_iso(args) -> int:
 
 
 def _cmd_pd2rel(args) -> int:
-    if args.pd.startswith("corpus:"):
-        obj = corpus.load(args.pd[len("corpus:"):])
-        if not isinstance(obj, SingularPD):
-            raise ParseError(f"corpus id {args.pd[len('corpus:'):]!r} is not a PD code")
-        pd = obj
-    else:
-        pd = parse_pd(read_text(args.pd))
+    pd = _resolve(args.pd, SingularPD, "PD code", lambda path: parse_pd(read_text(path)))
     sys.stdout.write(render_presentation(pd_to_presentation(pd)))
     return 0
 

@@ -124,12 +124,18 @@ def _rows(arr: np.ndarray) -> tuple[Violation, ...]:
     return tuple((code, tuple(v for v in w if v != -1)) for code, *w in arr.tolist())
 
 
+def check_order(n: int) -> None:
+    """MalformedTableError for an order whose elements TABLE_DTYPE cannot
+    hold, raised before any table of that order is allocated."""
+    if n > MAX_TABLE_ORDER:
+        raise MalformedTableError(f"order {n} is above {MAX_TABLE_ORDER}, the most int16 holds")
+
+
 def _validate(star, r1, r2, n: int):
     """Convert and check the tables; returns the report, the converted star,
     r1 and r2, bar (None when star is not right-invertible) and the
     generating set of (X, *) that the check went through."""
-    if n > MAX_TABLE_ORDER:
-        raise MalformedTableError(f"order {n} is above {MAX_TABLE_ORDER}, the most int16 holds")
+    check_order(n)
     star = _as_table(star, n, "star")
     r1 = _as_table(r1, n, "R1")
     r2 = _as_table(r2, n, "R2")

@@ -79,6 +79,10 @@ class ModulusMismatchError(ValidationError):
     """Formulas over different moduli combined into one structure."""
 
 
+class FrontierTooLargeError(ValidationError):
+    """A coloring search step whose frontier would exceed its memory bound."""
+
+
 class NotInvertibleError(ValidationError):
     """Affine parameter t with gcd(t, n) != 1."""
 

@@ -15,17 +15,18 @@ Table variant::
     ...
 
 Rows and columns of each block follow label order; entries are labels,
-matched exactly, so ``05`` is not the label ``5``.  When the labels are
-exactly the decimal residues 0..n-1 in any order, or the line is absent,
-the loader normalizes element i to residue i, so the same structure
-written in a different row order loads identically.  Other label sets are
-kept as opaque names in file order.
+matched exactly, so ``05`` is not the label ``5``.  One label index numbers
+the elements for both decoders below.  When the labels are exactly the
+decimal residues 0..n-1 in any order, or the line is absent, a label's
+number is its residue, and rows and columns are put in residue order once,
+so the same structure written in a different row order loads identically.
+Any other label's number is its position in the ``labels:`` line.
 
-A block of such a residue-labelled file is decoded by numpy at once when
-its rows are n canonical decimals below n each, separated by ASCII spaces
-and tabs.  Every other block, and every block of a file with opaque
-labels, is read entry by entry, which is also the path that reports what
-is wrong with a malformed block.
+A block of a residue-labelled file is decoded by numpy at once when its
+rows are n canonical decimals below n each, separated by ASCII spaces and
+tabs.  Every other block, and every block of a file with other labels, is
+read entry by entry through the index, which is also the path that reports
+what is wrong with a malformed block.
 
 Formula variant::
 
@@ -124,31 +125,22 @@ def _parse_table_variant(lines: list[str], n: int) -> FiniteSingquandle:
         raise ParseError(f"missing block(s): {', '.join(missing)}")
 
     default = [str(i) for i in range(n)]
-    index = {lab: i for i, lab in enumerate(labels or default)}
-    if labels is not None and set(labels) != set(default):
-        tables = {key: _token_block(key, rows, n, index) for key, rows in blocks.items()}
-        return table_singquandle(n, tables["star"], tables["R1"], tables["R2"], labels=labels)
-
-    # numeric labels that form a permutation of 0..n-1 normalize to residue
-    # order: a decoded entry is its residue, and the file lists element i's
-    # row and column at inv[i], the position of label str(i)
-    perm = None if labels in (None, default) else np.array([int(lab) for lab in labels])
+    residues = labels is None or set(labels) == set(default)
+    index = {lab: i for i, lab in enumerate(default if residues else labels)}
     tables = {}
     for key, rows in blocks.items():
-        t = _bulk_block(rows, n)
-        if t is None:
-            t = _token_block(key, rows, n, index)
-            if perm is not None:
-                t = perm[t]
-        tables[key] = t
-    if perm is not None:
-        inv = np.argsort(perm)
+        t = _bulk_block(rows, n) if residues else None
+        tables[key] = _token_block(key, rows, n, index) if t is None else t
+    if residues and labels not in (None, default):
+        # the file lists element i's row and column at the position of label str(i)
+        inv = np.argsort([index[lab] for lab in labels])
         tables = {key: t[np.ix_(inv, inv)] for key, t in tables.items()}
-    return table_singquandle(n, tables["star"], tables["R1"], tables["R2"])
+    return table_singquandle(n, tables["star"], tables["R1"], tables["R2"],
+                             labels=None if residues else labels)
 
 
 def _token_block(key: str, rows: list[str], n: int, index: dict[str, int]) -> np.ndarray:
-    """One block read entry by entry: each entry's position in label order."""
+    """One block read entry by entry: each entry's number in index."""
     rows = [row.split() for row in rows]
     if len(rows) != n or any(len(r) != n for r in rows):
         raise ParseError(f"block {key} must be {n} rows of {n} entries")
@@ -167,11 +159,10 @@ def _bulk_block(rows: list[str], n: int) -> np.ndarray | None:
     if len(rows) != n:
         return None
     text = "\n".join(rows)
-    if not text.isascii():
-        return None
-    buf = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    buf = np.frombuffer(text.encode(), dtype=np.uint8)
     digit = (buf >= ord("0")) & (buf <= ord("9"))
-    # space and tab separate entries, and newline joins the rows here
+    # space and tab separate entries, and newline joins the rows here; a
+    # byte of a non-ASCII character is none of these
     if not (digit | (buf == ord(" ")) | (buf == ord("\t")) | (buf == ord("\n"))).all():
         return None
     starts = digit.copy()
@@ -179,15 +170,12 @@ def _bulk_block(rows: list[str], n: int) -> np.ndarray | None:
     row_offsets = np.cumsum([0] + [len(row) + 1 for row in rows[:-1]])
     if np.any(np.add.reduceat(starts, row_offsets, dtype=np.intp) != n):
         return None
+    # a 0 that starts a token and has a digit after it is a leading zero
+    if np.any(starts[:-1] & (buf[:-1] == ord("0")) & digit[1:]):
+        return None
+    # an overlong token parses to the int64 maximum and fails the range check
     values = np.fromstring(text, dtype=np.int64, sep=" ")
     if values.min() < 0 or values.max() >= n:
-        return None
-    # an overlong token parses to the int64 maximum and failed above, so
-    # each token has at least as many digits as its value's decimal form,
-    # and equal totals mean that no token has a leading zero
-    decimal_digits = values.size + sum(np.count_nonzero(values >= 10 ** k)
-                                       for k in range(1, len(str(n - 1))))
-    if np.count_nonzero(digit) != decimal_digits:
         return None
     return values.reshape(n, n)
 

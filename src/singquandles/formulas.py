@@ -10,11 +10,10 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import FiniteSingquandle, table_singquandle
+from .core import FiniteSingquandle, check_order, table_singquandle
 from .errors import ModulusMismatchError, NotInvertibleError, ParseError
 
 MAX_EXPONENT = 4
@@ -136,14 +135,15 @@ def _signed_chunks(text: str):
 
 def formula_singquandle(star: BivariatePolyFormula,
                         r1: BivariatePolyFormula,
-                        r2: BivariatePolyFormula,
-                        labels: Optional[Sequence[str]] = None) -> FiniteSingquandle:
-    """Build and validate the structure whose tables the formulas define."""
+                        r2: BivariatePolyFormula) -> FiniteSingquandle:
+    """Build and validate the structure whose tables the formulas define.
+    The order is checked before the tables are evaluated."""
     if not (star.modulus == r1.modulus == r2.modulus):
         raise ModulusMismatchError(
             f"moduli differ: star {star.modulus}, R1 {r1.modulus}, R2 {r2.modulus}")
     n = star.modulus
-    return table_singquandle(n, star.table(), r1.table(), r2.table(), labels=labels)
+    check_order(n)
+    return table_singquandle(n, star.table(), r1.table(), r2.table())
 
 
 def affine_singquandle(n: int, t: int, s: int) -> FiniteSingquandle:

@@ -81,7 +81,7 @@ import math
 
 import numpy as np
 
-from .errors import EmptySeedError
+from .errors import EmptySeedError, FrontierTooLargeError
 from .terms import eval_rows
 
 __all__ = [
@@ -99,6 +99,10 @@ __all__ = [
 # rows x max(3 K^2, n) for the rows of K members that :func:`closures` takes
 # in one step: at most 8 MB of int64 products and a 1 MB block
 CLOSURE_BLOCK = 1 << 20
+
+# int64 cells that one step of the coloring search may hold: 1 GiB, the
+# order of validation's peak at fileformats.MAX_ORDER
+MAX_FRONTIER_CELLS = 1 << 27
 
 _NO_ROWS = np.empty((0, 4), dtype=np.int64)
 
@@ -374,6 +378,16 @@ def _inverted_index(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values, offsets
 
 
+def _admit(rows: int, cols: dict) -> None:
+    """FrontierTooLargeError, before any allocation, unless a step that
+    leaves ``rows`` rows fits: the columns bound after it, plus the one it
+    evaluates, hold rows * (len(cols) + 2) cells, at most MAX_FRONTIER_CELLS."""
+    if rows * (len(cols) + 2) > MAX_FRONTIER_CELLS:
+        raise FrontierTooLargeError(
+            f"the coloring search would hold {rows} rows of {len(cols) + 1} generators, "
+            f"more than its bound of {MAX_FRONTIER_CELLS} cells (kernels.MAX_FRONTIER_CELLS)")
+
+
 def enumerate_colorings(tables: dict, generators, plan) -> np.ndarray:
     """All assignments of values to generators that satisfy the plan, one
     row per assignment in lexicographic order, shape (m, len(generators)).
@@ -383,6 +397,8 @@ def enumerate_colorings(tables: dict, generators, plan) -> np.ndarray:
     only at a free step, by the bucket sizes at a join, and is pruned at
     each check.  It returns rows in the order of its plan; one sort by the
     columns in generator order makes the result independent of the plan.
+    A free, derive or join step whose frontier would pass
+    MAX_FRONTIER_CELLS raises FrontierTooLargeError before it allocates.
     """
     n = tables["*"].shape[0]
     vals = np.arange(n, dtype=np.int64)
@@ -391,11 +407,13 @@ def enumerate_colorings(tables: dict, generators, plan) -> np.ndarray:
     m = 1
     for kind, *args in plan:
         if kind == "free":
+            _admit(m * n, cols)
             cols = _share(cols, lambda c: np.repeat(c, n))
             cols[args[0]] = np.tile(vals, m)
             m *= n
         elif kind == "derive":
             g, term = args
+            _admit(m, cols)
             cols[g] = eval_rows(term, tables, cols)
         elif kind == "join":
             g, op, pos, known, other = args
@@ -408,6 +426,7 @@ def enumerate_colorings(tables: dict, generators, plan) -> np.ndarray:
             sizes = offsets[key + 1] - first
             ends = np.cumsum(sizes)
             m = int(ends[-1])
+            _admit(m, cols)
             # row i's bucket fills output rows ends[i]-sizes[i] .. ends[i]-1
             cols = _share(cols, lambda c: np.repeat(c, sizes))
             cols[g] = values[np.repeat(first - ends + sizes, sizes) + np.arange(m)]

@@ -2,7 +2,7 @@ import tracemalloc
 
 import pytest
 
-from singquandles import corpus
+from singquandles import corpus, kernels
 from singquandles.cli import main
 from singquandles.core import MAX_VIOLATIONS
 from singquandles.fileformats import MAX_ORDER, load_singquandle, render_singquandle
@@ -349,3 +349,47 @@ def test_link_commands_reject_singquandle_id(capsys):
     code, _, err = run(capsys, "color", "corpus:X-Z4", "corpus:X-Z4")
     assert code == 3
     assert "not a link" in err
+
+
+@pytest.mark.parametrize("argv, text, code, message", [
+    (["sqp", "corpus:K1"], None, 3, "error: corpus id 'K1' is not a singquandle"),
+    (["gen", "affine", "--n", "abc", "--t", "3", "--s", "2"], None, 2,
+     "argument --n: expected an integer order in 1..4096"),
+    (["validate"], "", 3, "error: empty singquandle file"),
+    (["validate"], "singquandle n=0\n", 3, "error: order must be at least 1"),
+    (["validate"], "singquandle-formula n=4\nstar x\n", 3,
+     "error: expected 'star = ...', 'R1 = ...' or 'R2 = ...', got 'star x'"),
+    (["validate"], "singquandle-formula n=4\nR3 = x\n", 3, "error: unknown formula key 'R3'"),
+    (["validate"], "singquandle n=2\nlabels: a b c\n", 3,
+     "error: labels line must list 2 distinct labels"),
+    (["validate"], "singquandle n=2\n0 0\n", 3,
+     "error: unexpected line '0 0' before any table block"),
+    (["pd2rel"], "P[a,b,c,c]\n", 3, "error: label 'c' used twice as an output port"),
+], ids=["link-id-as-structure", "gen-order-not-an-integer", "empty-file", "order-zero",
+        "formula-line-without-equals", "formula-key-R3", "labels-count", "row-before-block",
+        "output-port-twice"])
+def test_documented_exits(tmp_path, capsys, argv, text, code, message):
+    if text is not None:
+        p = tmp_path / "input"
+        p.write_text(text)
+        argv = argv + [str(p)]
+    got, out, err = run(capsys, *argv)
+    assert (got, out) == (code, "")
+    assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["color", "phi"])
+def test_a_frontier_above_the_bound_is_refused_before_it_is_allocated(tmp_path, capsys, command):
+    # with no relations the search frees all 9 generators: 8^9 rows of 9
+    # int64 columns, about 9 GiB, of which no step may hold more than the bound
+    p = tmp_path / "nine.pres"
+    p.write_text("generators: " + ", ".join(f"g{i}" for i in range(9)) + "\n")
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, command, str(p), "corpus:X-Z8-a")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (4, "")
+    assert f"bound of {kernels.MAX_FRONTIER_CELLS} cells" in err and "Traceback" not in err
+    assert peak < kernels.MAX_FRONTIER_CELLS  # bytes: an eighth of the bound's int64 cells

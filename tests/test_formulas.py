@@ -1,7 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from singquandles.errors import ModulusMismatchError, NotInvertibleError, ParseError
+from singquandles.errors import (
+    MalformedTableError,
+    ModulusMismatchError,
+    NotInvertibleError,
+    ParseError,
+)
 from singquandles.formulas import (
     MAX_EXPONENT,
     BivariatePolyFormula,
@@ -87,3 +94,14 @@ def test_formula_value_normalization():
     a = BivariatePolyFormula.make(9, [(3, 1, 0), (4, 1, 0)])
     b = BivariatePolyFormula.make(9, [(7, 1, 0)])
     assert a == b
+
+
+def test_order_above_int16_range_is_rejected_before_the_tables_are_evaluated():
+    tracemalloc.start()
+    try:
+        with pytest.raises(MalformedTableError, match="order 32769 is above 32768"):
+            affine_singquandle(2**15 + 1, 2, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

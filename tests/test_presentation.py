@@ -9,7 +9,7 @@ import pytest
 from singquandles import corpus, kernels
 from singquandles.core import table_singquandle
 from singquandles.diagram import SingularPD, pd_to_presentation
-from singquandles.errors import EmptySeedError, ParseError
+from singquandles.errors import EmptySeedError, ParseError, UnboundGeneratorError
 from singquandles.formulas import affine_singquandle
 from singquandles.polynomial import PhiInvariant, ssqp
 from singquandles.presentation import (
@@ -64,6 +64,11 @@ def test_parse_errors_carry_line_numbers():
 def test_duplicate_generators_rejected():
     with pytest.raises(ParseError):
         SingPresentation(("x", "x"), ())
+
+
+def test_a_relation_with_an_undeclared_generator_is_rejected():
+    with pytest.raises(UnboundGeneratorError, match="undeclared generator 'y'"):
+        SingPresentation(("x",), ((Gen("x"), parse_term("x*y")),))
 
 
 def test_roundtrip():
