@@ -50,6 +50,7 @@ safe to call from multiple threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -301,82 +302,72 @@ class IsomorphismResult:
 
 
 def find_isomorphism(q1: FiniteSingquandle, q2: FiniteSingquandle) -> IsomorphismResult:
-    """Search for an isomorphism q1 -> q2.
+    """Search for an isomorphism q1 -> q2 by the images of q1's generators.
 
-    Fast reject first: an isomorphism preserves every element's profile, so
-    unequal profile multisets (equivalently, unequal singquandle polynomials)
-    rule one out before any search.  The backtracking then only maps elements
-    onto targets with the same profile.
-    """
-    p1, p2 = q1.profiles(), q2.profiles()
-    mult1 = sorted(map(tuple, p1.tolist()))
-    mult2 = sorted(map(tuple, p2.tolist()))
-    if q1.order != q2.order or mult1 != mult2:
+    Unequal profile multisets (equivalently, unequal singquandle polynomials)
+    rule one out before any search.  A homomorphism is fixed by its values on
+    the generating set S of q1 (generator enumeration; Miller, STOC 1978), so
+    the search is depth-first over lazy streams, one per level, and no depth
+    reaches the recursion limit: the first unmapped s in S goes to each free
+    element of q2 with its profile, and :func:`_force` closes or refutes the
+    choice.  The first level takes one target per Inn-orbit of q2, since each
+    x -> x*s is an automorphism of q2 and rho o f is an isomorphism whenever
+    f is.  A complete mapping must pass one comparison of all three tables."""
+    n = q1.order
+    cls = kernels.distinct_rows(np.concatenate([q1.profiles(), q2.profiles()]))[1]
+    cls1, cls2 = cls[:n], cls[n:]  # each element's profile, numbered
+    if q2.order != n or not np.array_equal(np.sort(cls1), np.sort(cls2)):
         return IsomorphismResult(None, "sqp-mismatch")
 
-    # equal profile multisets give every element at least one candidate
-    by_profile: dict[tuple, list[int]] = {}
-    for j, prof in enumerate(map(tuple, p2.tolist())):
-        by_profile.setdefault(prof, []).append(j)
-    candidates = [by_profile[prof] for prof in map(tuple, p1.tolist())]
-
-    # assign rare-profile elements first; ties by index keep the search stable
-    order = sorted(range(q1.order), key=lambda i: (len(candidates[i]), i))
-    n = q1.order
-    f = [-1] * n
-    used = [False] * n
-    tables = ((q1.star, q2.star), (q1.r1, q2.r1), (q1.r2, q2.r2))
-
-    def consistent(i: int) -> bool:
-        fi = f[i]
-        for j in range(n):
-            fj = f[j]
-            if fj < 0:
-                continue
-            for t1, t2 in tables:
-                img = f[t1[i, j]]
-                if img >= 0 and t2[fi, fj] != img:
-                    return False
-                img = f[t1[j, i]]
-                if img >= 0 and t2[fj, fi] != img:
-                    return False
-        return True
-
-    def homomorphism() -> bool:
-        # consistent() misses a pair whose product is mapped after both
-        # factors, so a complete mapping is accepted only after one
-        # comparison of all three tables
-        fa = np.array(f, dtype=np.int64)
-        return all(np.array_equal(t2[fa[:, None], fa[None, :]], fa[t1]) for t1, t2 in tables)
-
-    # depth-first over `order` with an explicit stack, so no order hits the
-    # recursion limit: tried[k] counts the candidates of order[k] taken so far
-    tried = [0] * n
-    k = 0
-    while k >= 0:
-        if k == n:
-            if homomorphism():
-                return IsomorphismResult(tuple(f), None)
-            k -= 1
+    gens = q1.generators()
+    tables1, tables2 = (q1.star, q1.r1, q1.r2), (q2.star, q2.r1, q2.r2)
+    force = partial(_force, tables1, tables2, cls1, cls2)
+    roots = kernels.orbit_labels(np.arange(n)[:, None],
+                                 kernels.moving_rhos(q2.star, q2.generators()), n) == np.arange(n)
+    empty = np.full(n, -1, dtype=TABLE_DTYPE)
+    stack = [iter([(empty, empty)])]
+    while stack:
+        state = next(stack[-1], None)
+        if state is None:
+            stack.pop()
             continue
-        i = order[k]
-        if f[i] >= 0:  # back from depth k + 1: release the current target
-            used[f[i]] = False
-            f[i] = -1
-        while tried[k] < len(candidates[i]):
-            target = candidates[i][tried[k]]
-            tried[k] += 1
-            if used[target]:
-                continue
-            f[i] = target
-            used[target] = True
-            if consistent(i):
-                break
-            used[target] = False
-            f[i] = -1
-        if f[i] >= 0:
-            k += 1
-        else:
-            tried[k] = 0
-            k -= 1
+        f, inv = state
+        unmapped = f[gens] < 0
+        if unmapped.any():  # S generates q1, so once it is mapped f is total
+            s = gens[np.argmax(unmapped)]
+            free = roots if len(stack) == 1 else inv < 0  # nothing is mapped at the first level
+            targets = np.flatnonzero(free & (cls2 == cls1[s]))
+            stack.append(filter(None, map(partial(force, f, inv, s), targets)))
+        elif all(np.array_equal(t2[f[:, None], f], f[t1]) for t1, t2 in zip(tables1, tables2)):
+            return IsomorphismResult(tuple(f.tolist()), None)
     return IsomorphismResult(None, "exhausted")
+
+
+def _force(tables1, tables2, cls1, cls2, f, inv, s, t):
+    """The partial isomorphism f with inverse inv, whose domain is closed
+    under the three tables, extended by s -> t and closed again, semi-naively:
+    each round takes the products of the elements mapped last with all mapped
+    elements, in slices of at most kernels.CLOSURE_BLOCK products.  None when
+    an element gets two values, a value two elements, or a profile changes."""
+    f, inv = f.copy(), inv.copy()
+    mapped = f >= 0
+    f[s], inv[t] = t, s
+    while (new := np.flatnonzero((f >= 0) & ~mapped)).size:
+        mapped = f >= 0
+        dom, fd = np.flatnonzero(mapped), f[mapped]
+        step = max(1, kernels.CLOSURE_BLOCK // (6 * len(dom)))
+        for lo in range(0, len(new), step):
+            a = new[lo:lo + step]
+            x = np.concatenate([op[u[:, None], v].ravel()
+                                for op in tables1 for u, v in ((a, dom), (dom, a))])
+            y = np.concatenate([op[u[:, None], v].ravel()
+                                for op in tables2 for u, v in ((f[a], fd), (fd, f[a]))])
+            fx = f[x]
+            free = fx < 0
+            if not ((fx == y) | (free & (inv[y] < 0))).all():
+                return None
+            x, y = x[free], y[free]
+            f[x], inv[y] = y, x
+            if not ((f[x] == y).all() and (inv[y] == x).all() and (cls1[x] == cls2[y]).all()):
+                return None
+    return f, inv

@@ -107,6 +107,8 @@ def _parse_table_variant(lines: list[str], n: int) -> FiniteSingquandle:
     current: list[str] | None = None
     for line in lines:
         if line.startswith("labels:"):
+            if labels is not None or blocks:
+                raise ParseError("a labels line must come once, before the first table block")
             labels = line[len("labels:"):].split()
             if len(labels) != n or len(set(labels)) != n:
                 raise ParseError(f"labels line must list {n} distinct labels")

@@ -31,7 +31,8 @@ distinct maps and the orbits about n/3 for components of order 3.
 Each step runs once: :func:`quandle_violations` counts preimages, which
 gives the right-invertibility rows or bar, and proves that the moving rho_s
 preserve star; :func:`sing_violations` takes those maps, or None.  The
-Inn-orbits come from :func:`orbit_labels`, which also groups phi's seed sets.
+Inn-orbits come from :func:`orbit_labels`, which also groups phi's seed sets
+and gives the isomorphism search one first target per orbit.
 
 A proof decides only whether an identity's scan runs, so the reported rows
 never depend on it.  The scans of the n^3 identities run in slabs over
@@ -439,11 +440,14 @@ def enumerate_colorings(tables: dict, generators, plan) -> np.ndarray:
             m = int(np.count_nonzero(keep))
             if m == 0:
                 break
+    # one sort order from the columns, each copied once and then dropped:
+    # the end holds the frontier and the result, not a third, sorted copy
     rows = np.empty((m, len(generators)), dtype=np.int64)
-    for k, g in enumerate(generators):
-        if g in cols:  # every generator is bound unless the search emptied
-            rows[:, k] = cols[g]
-    return rows[np.lexsort(rows.T[::-1])]
+    if m:  # every generator is bound unless the search emptied
+        order = np.lexsort([cols[g] for g in reversed(generators)])
+        for k, g in enumerate(generators):
+            rows[:, k] = cols.pop(g)[order]
+    return rows
 
 
 def distinct_rows(a: np.ndarray):

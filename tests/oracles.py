@@ -66,15 +66,28 @@ def profile_of(q: FiniteSingquandle, x: int) -> tuple[int, ...]:
 @dataclass(frozen=True, eq=False)
 class UncheckedTables:
     """Tables that no axiom is checked on, for code that needs none: the
-    closure kernel and the isomorphism search read only these fields and
-    the profiles, since a FiniteSingquandle is validated when it is built.
-    An input, not a reference: its profiles are the package's own."""
+    closure kernel reads only these fields, while a FiniteSingquandle is
+    validated when it is built."""
 
     order: int
     star: np.ndarray
     r1: np.ndarray
     r2: np.ndarray
-    profiles = FiniteSingquandle.profiles
+
+
+def brute_isomorphism(q1: FiniteSingquandle, q2: FiniteSingquandle):
+    """The first permutation p of 0..n-1, in itertools order, with
+    op2(p(a), p(b)) == p(op1(a, b)) for all a, b in each of the three
+    tables, or None.  n! candidates: for orders up to about 6."""
+    if q1.order != q2.order:
+        return None
+    pairs = [(t1.tolist(), t2.tolist()) for t1, t2 in
+             ((q1.star, q2.star), (q1.r1, q2.r1), (q1.r2, q2.r2))]
+    cells = [(a, b) for a in range(q1.order) for b in range(q1.order)]
+    for p in itertools.permutations(range(q1.order)):
+        if all(t2[p[a]][p[b]] == p[t1[a][b]] for t1, t2 in pairs for a, b in cells):
+            return p
+    return None
 
 
 def naive_closure(q: FiniteSingquandle, seed) -> frozenset[int]:
@@ -316,6 +329,8 @@ def read_table_file(text: str) -> FiniteSingquandle:
     current = None
     for line in lines[1:]:
         if line.startswith("labels:"):
+            if labels is not None or blocks:
+                raise ParseError("a labels line must come once, before the first table block")
             labels = line[len("labels:"):].split()
             if len(labels) != n or len(set(labels)) != n:
                 raise ParseError(f"labels line must list {n} distinct labels")

@@ -548,6 +548,25 @@ def test_colorings_at_order_256_do_not_depend_on_table_dtype(affine256, link):
     assert rows.tolist() == kernels.enumerate_colorings(wide, pres.generators, plan).tolist()
 
 
+def test_coloring_search_ends_near_its_result():
+    # no relations: 4^9 rows of 9 free generators, an 18 MB result; sorting
+    # a copy of the rows while the frontier columns were held peaked at
+    # about 3 times that
+    q = corpus.load("X-Z4")
+    tables = {"*": q.star, "/": q.bar, "R1": q.r1, "R2": q.r2}
+    generators = tuple(f"g{i}" for i in range(9))
+    plan = [("free", g) for g in generators]
+    tracemalloc.start()
+    try:
+        rows = kernels.enumerate_colorings(tables, generators, plan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows.shape == (4 ** 9, 9)
+    assert np.array_equal(rows[[0, 1, -1]], [[0] * 9, [0] * 8 + [1], [3] * 9])
+    assert peak <= 2.4 * rows.nbytes
+
+
 def test_derive_bar_of_int16_star_at_order_256(affine256):
     assert affine256.star.dtype == np.int16
     _, bar, _ = kernels.quandle_violations(affine256.star, 100, affine256.generators())

@@ -364,10 +364,14 @@ def test_link_commands_reject_singquandle_id(capsys):
      "error: labels line must list 2 distinct labels"),
     (["validate"], "singquandle n=2\n0 0\n", 3,
      "error: unexpected line '0 0' before any table block"),
+    # valid under its first labels line, not under its second
+    (["validate"], "singquandle n=2\nlabels: a b\nlabels: b a\n"
+     "star:\na a\nb b\nR1:\nb a\nb a\nR2:\nb b\na a\n", 3,
+     "error: a labels line must come once, before the first table block"),
     (["pd2rel"], "P[a,b,c,c]\n", 3, "error: label 'c' used twice as an output port"),
 ], ids=["link-id-as-structure", "gen-order-not-an-integer", "empty-file", "order-zero",
         "formula-line-without-equals", "formula-key-R3", "labels-count", "row-before-block",
-        "output-port-twice"])
+        "second-labels-line", "output-port-twice"])
 def test_documented_exits(tmp_path, capsys, argv, text, code, message):
     if text is not None:
         p = tmp_path / "input"

@@ -1,5 +1,6 @@
 import dataclasses
 import inspect
+import math
 import random
 import sys
 import tracemalloc
@@ -26,14 +27,15 @@ from singquandles.formulas import affine_singquandle
 
 from oracles import (
     NotRightInvertibleError,
-    UncheckedTables,
     bar_by_columns,
+    brute_isomorphism,
     naive_closure,
     profile_of,
     quandle_ok,
     shift_singquandle,
     sing_ok,
     star_closure,
+    union_singquandle,
     violation_rows,
 )
 
@@ -390,26 +392,45 @@ def test_iso_search_is_not_bounded_by_recursion_limit():
         assert np.array_equal(t2[m[:, None], m[None, :]], m[t1])
 
 
-def _unvalidated(star) -> UncheckedTables:
-    # star only; R1 = R2 = the left projection
-    star = np.array(star, dtype=np.int64)
-    proj = np.repeat(np.arange(len(star))[:, None], len(star), axis=1)
-    return UncheckedTables(order=len(star), star=star, r1=proj, r2=proj.copy())
-
-
-def test_iso_result_is_a_homomorphism():
-    # on these tables the pairwise consistency check alone accepts a mapping
-    # that is not a homomorphism (a pair whose product is mapped last is
-    # never compared); the full table comparison rejects it and the search
-    # goes on, to the real isomorphism or to exhaustion
-    a = _unvalidated([[2, 2, 1], [2, 2, 2], [1, 1, 1]])
-    b = _unvalidated([[1, 1, 1], [0, 0, 0], [1, 0, 0]])  # a relabelled by (2, 1, 0)
-    assert find_isomorphism(a, b).mapping == (2, 1, 0)
-    c = _unvalidated([[0, 1, 0], [2, 1, 0], [0, 1, 0]])
-    d = _unvalidated([[0, 0, 2], [0, 0, 2], [0, 0, 2]])
-    result = find_isomorphism(c, d)
-    assert not result
+def test_iso_rechecks_every_complete_mapping(monkeypatch, xz4):
+    # an extension step that returns a total bijection which is not a
+    # homomorphism: only the final comparison of the three tables can
+    # refuse it, so every choice is refused and the search is exhausted
+    bad = np.array([1, 0, 2, 3], dtype=core.TABLE_DTYPE)
+    m = bad.astype(np.int64)
+    assert not np.array_equal(xz4.star[m[:, None], m], m[xz4.star])
+    calls = []
+    monkeypatch.setattr(core, "_force", lambda *args: calls.append(args) or (bad, np.argsort(bad)))
+    result = find_isomorphism(xz4, xz4)
+    assert calls and result.mapping is None
     assert result.reason == "exhausted"
+
+
+def _small_structures():
+    """Every structure of order at most 6 named below, and one random
+    relabelling of each."""
+    out = [corpus.load("X-Z4"), corpus.load("Y-Z4"), union_singquandle((3,)),
+           union_singquandle((5,)), union_singquandle((3, 3))]
+    out += [shift_singquandle(n, s) for n in range(1, 7) for s in range(n)]
+    out += [affine_singquandle(n, t, s) for n in range(1, 7) for t in range(n)
+            if math.gcd(t, n) == 1 for s in range(n)]
+    rng = random.Random(20)
+    return out + [q.relabel(rng.sample(range(q.order), q.order)) for q in out]
+
+
+def test_iso_matches_brute_force_on_small_structures():
+    structures = _small_structures()
+    for i, q1 in enumerate(structures):
+        for q2 in structures[i:]:
+            if q1.order != q2.order:
+                continue
+            result = find_isomorphism(q1, q2)
+            assert bool(result) == (brute_isomorphism(q1, q2) is not None), (q1, q2)
+            if result:
+                m = np.array(result.mapping)
+                assert sorted(result.mapping) == list(range(q1.order))
+                for t1, t2 in ((q1.star, q2.star), (q1.r1, q2.r1), (q1.r2, q2.r2)):
+                    assert np.array_equal(t2[m[:, None], m], m[t1])
 
 
 @pytest.fixture

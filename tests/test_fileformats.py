@@ -240,6 +240,9 @@ _REJECTED = {
     "missing-row": _in_row(lambda toks: []),
     # n*n entries in n rows, but row 3 has one too many and row 4 one too few
     "uneven-rows": lambda rows: _joined(rows[:3] + [rows[3] + rows[4][:1], rows[4][1:]] + rows[5:]),
+    # n distinct labels, so only its place is wrong
+    "labels-line-inside-a-block": _in_row(lambda toks: [" ".join(toks),
+                                                        "labels: " + " ".join(map(str, range(_N)))]),
 }
 _LOADED = {
     "unit-separator": _in_row(lambda toks: ["\x1f".join(toks)]),
