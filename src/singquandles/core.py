@@ -182,14 +182,15 @@ class FiniteSingquandle:
     gens: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        check_order(self.order)  # before n default labels are made
+        labels = tuple(self.labels) or tuple(str(i) for i in range(self.order))
+        if len(labels) != self.order or len(set(labels)) != self.order:
+            raise MalformedTableError("labels must be distinct, one per element")
         report, star, r1, r2, bar, gens = _validate(self.star, self.r1, self.r2, self.order)
         if not report.ok:  # the report lists quandle rows first
             if report.violations[0].axiom in _QUANDLE_AXIOMS.values():
                 raise NotAQuandleError(report)
             raise NotASingquandleError(report)
-        labels = tuple(self.labels) or tuple(str(i) for i in range(self.order))
-        if len(labels) != self.order or len(set(labels)) != self.order:
-            raise MalformedTableError("labels must be distinct, one per element")
         for name, value in (("star", star), ("r1", r1), ("r2", r2), ("bar", bar), ("gens", gens)):
             value.setflags(write=False)
             object.__setattr__(self, name, value)

@@ -13,11 +13,11 @@ leaves as ``c``, the under-strand as ``d``.  At a singular crossing the
 incoming pair is read in order ``(a, b)``; the strand bringing ``b``
 leaves as ``c``, the strand bringing ``a`` leaves as ``d``::
 
-        b   c             a   b
+        c   d             c   d
          \ /               \ /
           X   classical     #   singular
          / \               / \
-        a   d             c   d
+        a   b             a   b
 
 Coloring relations emitted per crossing (two each):
 
@@ -63,7 +63,8 @@ class SingularPD:
 
 
 _ENTRY_RE = re.compile(
-    r"([A-Za-z_]\w*)\s*\[\s*([A-Za-z_]\w*)\s*,\s*([A-Za-z_]\w*)\s*,\s*([A-Za-z_]\w*)\s*,\s*([A-Za-z_]\w*)\s*\]")
+    r"([A-Za-z_]\w*)\s*\[\s*([A-Za-z_]\w*)\s*,\s*([A-Za-z_]\w*)\s*,\s*([A-Za-z_]\w*)\s*,\s*([A-Za-z_]\w*)\s*\]"
+    r"|(?P<bad>\S)")
 
 
 def parse_pd(text: str) -> SingularPD:
@@ -81,19 +82,13 @@ def parse_pd(text: str) -> SingularPD:
     blob = " ".join(body)
 
     crossings = []
-    pos = 0
-    while pos < len(blob):
-        if blob[pos].isspace():
-            pos += 1
-            continue
-        m = _ENTRY_RE.match(blob, pos)
-        if m is None:
-            raise ParseError(f"bad PD entry near {blob[pos:pos + 24]!r}")
-        kind = m.group(1)
+    for m in _ENTRY_RE.finditer(blob):
+        kind, *ports, bad = m.groups()
+        if bad:
+            raise ParseError(f"bad PD entry near {blob[m.start():m.start() + 24]!r}")
         if kind not in KINDS:
             raise ParseError(f"unknown crossing kind {kind!r}; use P, N or S")
-        crossings.append(Crossing(kind, (m.group(2), m.group(3), m.group(4), m.group(5))))
-        pos = m.end()
+        crossings.append(Crossing(kind, tuple(ports)))
 
     pd = SingularPD(tuple(crossings), name=name)
     _check_ports(pd)

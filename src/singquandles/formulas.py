@@ -76,61 +76,34 @@ class BivariatePolyFormula:
 
 
 def parse_formula(text: str, modulus: int) -> BivariatePolyFormula:
-    """Parse a formula like ``7*x + 6*y + 4*x*y`` or ``4*x^2+5*x+4*y``."""
-    raw = []
-    # split into signed terms, keeping the grammar small
-    for sign, chunk in _signed_chunks(text):
-        coeff, xi, yj = 1, 0, 0
-        saw_factor = False
-        pos = 0
-        expect_factor = True
-        while pos < len(chunk):
-            if not expect_factor:
-                stripped = chunk[pos:].lstrip()
-                if not stripped:
-                    break
-                if stripped[0] != "*":
-                    raise ParseError(f"expected '*' between factors in term {chunk!r}")
-                pos = len(chunk) - len(stripped) + 1
-            m = _FACTOR_RE.match(chunk, pos)
-            if m is None or m.end() == pos:
-                raise ParseError(f"bad factor in formula term {chunk!r}")
-            if m.group("int") is not None:
-                coeff *= int(m.group("int"))
-            else:
-                e = int(m.group("exp")) if m.group("exp") else 1
-                if m.group("var") == "x":
-                    xi += e
-                else:
-                    yj += e
-            saw_factor = True
-            pos = m.end()
-            expect_factor = False
-        if not saw_factor:
-            raise ParseError(f"empty term in formula {text!r}")
-        raw.append((sign * coeff, xi, yj))
-    if not raw:
-        raise ParseError(f"empty formula {text!r}")
-    return BivariatePolyFormula.make(modulus, raw)
-
-
-def _signed_chunks(text: str):
+    """Parse a formula like ``7*x + 6*y + 4*x*y`` or ``4*x^2+5*x+4*y``:
+    terms joined by ``+`` or ``-``, the first optionally signed, each a
+    ``*``-product of factors that ``_FACTOR_RE`` matches whole."""
     s = text.strip()
     if not s:
         raise ParseError("empty formula")
-    sign = 1
-    if s[0] in "+-":
-        sign = -1 if s[0] == "-" else 1
-        s = s[1:]
-    chunk = []
-    for ch in s:
-        if ch in "+-":
-            yield sign, "".join(chunk)
-            sign = -1 if ch == "-" else 1
-            chunk = []
-        else:
-            chunk.append(ch)
-    yield sign, "".join(chunk)
+    pieces = re.split(r"([+-])", s if s[0] in "+-" else "+" + s)
+    raw = []
+    for sign, term in zip(pieces[1::2], pieces[2::2]):
+        coeff, xi, yj = -1 if sign == "-" else 1, 0, 0
+        for factor in term.split("*"):
+            m = _FACTOR_RE.fullmatch(factor)
+            if m is None:
+                raise ParseError(f"bad factor {factor.strip()[:40]!r} in term {term.strip()[:40]!r}")
+            try:
+                value = int(m["int"] or m["exp"] or 1)
+            except ValueError:  # more digits than int() converts
+                raise ParseError(f"number too long in factor {factor.strip()[:40]!r}") from None
+            if m["int"]:
+                coeff *= value
+            elif m["var"] == "x":
+                xi += value
+            else:
+                yj += value
+        if max(xi, yj) > MAX_EXPONENT:  # caught here, before make() would print a huge term
+            raise ParseError(f"exponent above {MAX_EXPONENT} in term {term.strip()[:40]!r}")
+        raw.append((coeff, xi, yj))
+    return BivariatePolyFormula.make(modulus, raw)
 
 
 def formula_singquandle(star: BivariatePolyFormula,

@@ -80,24 +80,16 @@ def _preorder(term):
 
 Term = Union[Gen, Apply]
 
-_TOKEN_RE = re.compile(r"\s*(?:(?P<ident>[A-Za-z_]\w*)|(?P<sym>[*/(),]))")
+_TOKEN_RE = re.compile(r"\s*(?:(?P<ident>[A-Za-z_]\w*)|(?P<sym>[*/(),])|(?P<bad>\S))")
 
 
 def _tokens(text: str) -> Iterator[tuple[str, str, int]]:
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            # nothing but trailing whitespace is fine
-            if text[pos:].strip():
-                raise TermSyntaxError(f"unexpected character {text[pos:].strip()[0]!r}",
-                                      pos, ("identifier", "operator"))
-            return
-        if m.group("ident"):
-            yield "ident", m.group("ident"), m.start("ident")
-        else:
-            yield "sym", m.group("sym"), m.start("sym")
-        pos = m.end()
+    # every character but trailing whitespace falls in some token
+    for m in _TOKEN_RE.finditer(text):
+        if m.lastgroup == "bad":
+            raise TermSyntaxError(f"unexpected character {m['bad']!r}", m.start(),
+                                  ("identifier", "operator"))
+        yield m.lastgroup, m[m.lastgroup], m.start(m.lastgroup)
 
 
 class _Parser:

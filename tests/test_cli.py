@@ -1,4 +1,7 @@
+import random
+import re
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -369,9 +372,11 @@ def test_link_commands_reject_singquandle_id(capsys):
      "star:\na a\nb b\nR1:\nb a\nb a\nR2:\nb b\na a\n", 3,
      "error: a labels line must come once, before the first table block"),
     (["pd2rel"], "P[a,b,c,c]\n", 3, "error: label 'c' used twice as an output port"),
+    (["validate"], "singquandle-formula n=4\nstar = " + "9" * 5000 + "*x + 2*y\nR1 = y\nR2 = x\n",
+     3, "error: number too long in factor '" + "9" * 40 + "'\n"),
 ], ids=["link-id-as-structure", "gen-order-not-an-integer", "empty-file", "order-zero",
         "formula-line-without-equals", "formula-key-R3", "labels-count", "row-before-block",
-        "second-labels-line", "output-port-twice"])
+        "second-labels-line", "output-port-twice", "formula-literal-too-long"])
 def test_documented_exits(tmp_path, capsys, argv, text, code, message):
     if text is not None:
         p = tmp_path / "input"
@@ -397,3 +402,39 @@ def test_a_frontier_above_the_bound_is_refused_before_it_is_allocated(tmp_path, 
     assert (code, out) == (4, "")
     assert f"bound of {kernels.MAX_FRONTIER_CELLS} cells" in err and "Traceback" not in err
     assert peak < kernels.MAX_FRONTIER_CELLS  # bytes: an eighth of the bound's int64 cells
+
+
+def _mutations(text, rng):
+    """Five each of four seeded edits below the header (the first line that
+    is not a comment): an integer literal made 5,000 digits long, one
+    character deleted, one of ``é # [ ^ ,`` inserted, one line doubled."""
+    lines = text.splitlines(keepends=True)
+    head = next(i for i, line in enumerate(lines) if not line.startswith("#")) + 1
+    prefix, body = "".join(lines[:head]), "".join(lines[head:])
+    literals = list(re.finditer(r"\d+", body))
+    for _ in range(5):
+        if literals:
+            m = rng.choice(literals)
+            yield prefix + body[:m.start()] + "9" * 5000 + body[m.end():]
+        i = rng.randrange(len(body))
+        yield prefix + body[:i] + body[i + 1:]
+        i = rng.randrange(len(body) + 1)
+        yield prefix + body[:i] + rng.choice("é#[^,") + body[i:]
+        i = rng.randrange(head, len(lines))
+        yield "".join(lines[:i + 1] + lines[i:])
+
+
+def test_mutated_corpus_files_fail_with_documented_exits(tmp_path, capsys):
+    commands = {".sq": [["validate"]], ".pres": [["color", "corpus:X-Z4"]],
+                ".pd": [["pd2rel"], ["color", "corpus:X-Z4"]]}
+    files = [f for f in sorted((Path(corpus.__file__).parent / "v1").iterdir())
+             if f.suffix in commands]
+    assert len(files) == 13
+    rng = random.Random(21)
+    p = tmp_path / "input"
+    for path in files:
+        for text in _mutations(path.read_text(), rng):
+            p.write_text(text)
+            for command, *rest in commands[path.suffix]:
+                code, _, err = run(capsys, command, str(p), *rest)
+                assert code in (0, 3, 4) and "Traceback" not in err, (path.name, text[:200])

@@ -285,6 +285,17 @@ def test_labels_and_lookup():
                           labels=("a", "a"))
 
 
+@pytest.mark.parametrize("labels", [("a",) * 4, ("a", "b")], ids=["repeated", "too-few"])
+def test_bad_labels_are_rejected_before_the_tables_are_scanned(monkeypatch, xz4, labels):
+    monkeypatch.setattr(core, "_validate", lambda *args: pytest.fail("tables were scanned"))
+    with pytest.raises(MalformedTableError, match="labels must be distinct"):
+        FiniteSingquandle(order=4, star=xz4.star, r1=xz4.r1, r2=xz4.r2, labels=labels)
+    # an order int16 cannot hold is still the first error
+    t = np.broadcast_to(np.int64(0), (2**15 + 1, 2**15 + 1))
+    with pytest.raises(MalformedTableError, match="order 32769"):
+        FiniteSingquandle(order=2**15 + 1, star=t, r1=t, r2=t, labels=labels)
+
+
 def test_relabel_conjugates_tables(xz4):
     perm = [2, 0, 3, 1]
     p = xz4.relabel(perm)

@@ -39,6 +39,15 @@ def test_malformed_entries(bad):
         parse_pd(bad)
 
 
+def test_unclosed_entry_is_quoted():
+    with pytest.raises(ParseError) as exc:
+        parse_pd("P[a,b")
+    assert str(exc.value) == "bad PD entry near 'P[a,b'"
+    with pytest.raises(ParseError) as exc:
+        parse_pd("P[a,b,c,d]  N[b,a,d,c] ?" + "x" * 30)
+    assert str(exc.value) == "bad PD entry near '?" + "x" * 23 + "'"
+
+
 def test_twice_as_input_rejected():
     with pytest.raises(DuplicatePortError):
         parse_pd("P[a,b,c,d] P[a,b,e,f] P[c,d,a,b] P[e,f,c,d]")

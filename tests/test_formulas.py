@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 
 import numpy as np
@@ -41,10 +42,26 @@ def test_negative_terms():
     assert f.evaluate(0, 1) == 4
 
 
-@pytest.mark.parametrize("bad", ["x^9", "x**2", "x y", "z", "2x", "", "x +", "^2"])
+@pytest.mark.parametrize("bad", [
+    "x^9", "x**2", "x y", "z", "2x", "", "x +", "^2",
+    "x*", "*x", "x^", "x^2^2", "2 3", "x - - y", "+", "-",
+    # a literal longer than int() converts; a product or exponent sum too long to print
+    "9" * 5000 + "*x + 2*y", "y^" + "1" * 5000, "9" * 3000 + "*" + "9" * 3000 + "*x^3*x^2",
+    "x^" + "9" * 4300 + "*x^" + "9" * 4300,
+])
 def test_parse_rejects(bad):
     with pytest.raises(ParseError):
         parse_formula(bad, 7)
+
+
+def test_render_parses_back():
+    rng = random.Random(21)
+    for _ in range(500):
+        n = rng.randint(1, 30)
+        f = BivariatePolyFormula.make(n, [(rng.randint(-60, 60), rng.randint(0, MAX_EXPONENT),
+                                           rng.randint(0, MAX_EXPONENT))
+                                          for _ in range(rng.randint(0, 6))])
+        assert parse_formula(f.render(), n) == f
 
 
 def test_exponent_cap_is_enforced():

@@ -46,6 +46,16 @@ def test_syntax_errors(bad):
     assert exc.value.expected
 
 
+def test_unexpected_character_is_reported_where_its_token_starts():
+    # the position is where the token's leading whitespace begins
+    with pytest.raises(TermSyntaxError) as exc:
+        parse_term("a * ?")
+    assert exc.value.position == 3
+    assert str(exc.value) == ("unexpected character '?' at position 3 "
+                              "(expected identifier or operator)")
+    assert parse_term("a * b \t ") == parse_term("a*b")
+
+
 @pytest.mark.parametrize("make", [
     lambda d: "*".join(["x"] * (d + 1)),           # left-deep chain, no parentheses
     lambda d: "x*(" * (d - 1) + "x*x" + ")" * (d - 1),
