@@ -78,7 +78,11 @@ class BivariatePolyFormula:
 def parse_formula(text: str, modulus: int) -> BivariatePolyFormula:
     """Parse a formula like ``7*x + 6*y + 4*x*y`` or ``4*x^2+5*x+4*y``:
     terms joined by ``+`` or ``-``, the first optionally signed, each a
-    ``*``-product of factors that ``_FACTOR_RE`` matches whole."""
+    ``*``-product of factors that ``_FACTOR_RE`` matches whole.  A term's
+    coefficient is reduced mod n after each factor, so parsing stays linear
+    in the number of factors."""
+    if modulus < 1:
+        raise ValueError("modulus must be positive")
     s = text.strip()
     if not s:
         raise ParseError("empty formula")
@@ -95,7 +99,7 @@ def parse_formula(text: str, modulus: int) -> BivariatePolyFormula:
             except ValueError:  # more digits than int() converts
                 raise ParseError(f"number too long in factor {factor.strip()[:40]!r}") from None
             if m["int"]:
-                coeff *= value
+                coeff = coeff * value % modulus
             elif m["var"] == "x":
                 xi += value
             else:

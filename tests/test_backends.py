@@ -434,6 +434,48 @@ def test_orbit_labels_reject_a_seed_set_mapped_outside_the_seeds():
     assert kernels.orbit_labels(np.array([[0], [2]]), rhos, 3).tolist() == [0, 0]
 
 
+def test_orbit_labels_reject_an_image_that_falls_between_seed_sets():
+    # x -> x*0 fixes 0 and sends 2 to 1, whose key lies between the seed
+    # sets' keys
+    star = np.array([[0, 2, 1], [2, 1, 0], [1, 0, 2]])
+    rhos = kernels.moving_rhos(star, np.array([0]))
+    with pytest.raises(RuntimeError, match=r"seed set \[2\] maps to \[1\]"):
+        kernels.orbit_labels(np.array([[0], [2]]), rhos, 3)
+
+
+def _distinct_rows_cases():
+    rng = np.random.default_rng(22)
+    pool = rng.integers(0, 4096, (5, 12))
+    return {
+        "no rows": np.empty((0, 3), dtype=np.int64),
+        "no columns": np.empty((7, 0), dtype=np.int64),
+        "one column": rng.integers(0, 50, (200, 1)),
+        "many duplicates": rng.integers(0, 3, (500, 4)),
+        # 4096^12 = 2^144, so the keys take the dense-rank fold
+        "wide": np.concatenate([pool[rng.integers(0, 5, 300)], rng.integers(0, 4096, (100, 12))]),
+        "padded sets": kernels.canonical_sets(rng.integers(0, 9, (400, 3)), 9),
+    }
+
+
+@pytest.mark.parametrize("case", list(_distinct_rows_cases()))
+def test_distinct_rows_match_numpy_unique(case):
+    a = _distinct_rows_cases()[case]
+    rows, inverse, counts = kernels.distinct_rows(a)
+    want_rows, want_inverse, want_counts = np.unique(a, axis=0, return_inverse=True,
+                                                     return_counts=True)
+    assert rows.shape == want_rows.shape and np.array_equal(rows, want_rows)
+    assert np.array_equal(inverse, want_inverse.ravel())
+    assert np.array_equal(counts, want_counts)
+
+
+def test_row_keys_fold_wide_rows_by_rank():
+    a = _distinct_rows_cases()["wide"]
+    key = kernels._row_keys(a.T, 4096, len(a))
+    assert 0 <= key.min() and key.max() < 1 << 62
+    order = np.argsort(key, kind="stable")
+    assert np.array_equal(order, np.lexsort(a.T[::-1]))
+
+
 def test_orbit_labels_of_no_seed_sets_are_empty():
     star = np.array([[0, 2, 1], [2, 1, 0], [1, 0, 2]])
     rhos = kernels.moving_rhos(star, np.array([1]))

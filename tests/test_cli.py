@@ -1,10 +1,14 @@
+import os
 import random
 import re
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
 import pytest
 
+import singquandles
 from singquandles import corpus, kernels
 from singquandles.cli import main
 from singquandles.core import MAX_VIOLATIONS
@@ -438,3 +442,28 @@ def test_mutated_corpus_files_fail_with_documented_exits(tmp_path, capsys):
             for command, *rest in commands[path.suffix]:
                 code, _, err = run(capsys, command, str(p), *rest)
                 assert code in (0, 3, 4) and "Traceback" not in err, (path.name, text[:200])
+
+
+def test_cli_runs_never_import_numpy_ma(tmp_path):
+    # numpy.ma costs an import that setup and every first call would pay;
+    # np.unique(axis=0) asked for the rows alone pulls it in, so no command
+    # may take that path
+    dihedral = tmp_path / "dihedral48.sq"
+    argvs = [["gen", "affine", "--n", "48", "--t", "47", "--s", "2", "-o", str(dihedral)],
+             ["phi", "corpus:1_1l", "corpus:X-Z8-a"], ["phi", "corpus:6_11l-pd", "corpus:X-Z4"],
+             ["phi", "corpus:1_1l", str(dihedral)],
+             ["iso", "corpus:X-Z8-a", "corpus:X-Z8-b"], ["iso", str(dihedral), str(dihedral)],
+             ["color", "--list", "corpus:K1", "corpus:Y-Z4"],
+             ["color", "--list", "corpus:1_1l-2gen", str(dihedral)]]
+    script = ("import contextlib, io, sys\n"
+              "from singquandles.cli import main\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              f"    codes = [main(argv) for argv in {argvs!r}]\n"
+              "print(codes, 'numpy.ma' in sys.modules)\n")
+    src = str(Path(singquandles.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == f"{[0] * len(argvs)} False"

@@ -37,6 +37,21 @@ def test_coefficients_reduce_mod_n():
     assert parse_formula("8*x + y", 8).render() == "y"
 
 
+def test_long_products_reduce_after_each_factor():
+    nines = "9" * 4000
+    text = "*".join([nines] * 400) + "*x^2*y - " + "*".join([nines] * 399) + "*y"
+    n = 97
+    want = BivariatePolyFormula.make(n, [(pow(int(nines), 400, n), 2, 1),
+                                         (-pow(int(nines), 399, n), 0, 1)])
+    assert parse_formula(text, n).terms == want.terms == ((20, 0, 1), (96, 2, 1))
+
+
+def test_modulus_is_checked_before_any_factor():
+    for text in ("x", "3*x", "", "x^9"):
+        with pytest.raises(ValueError, match="modulus must be positive"):
+            parse_formula(text, 0)
+
+
 def test_negative_terms():
     f = parse_formula("x - y", 5)
     assert f.evaluate(0, 1) == 4

@@ -14,6 +14,7 @@ from singquandles.formulas import affine_singquandle
 from singquandles.polynomial import PhiInvariant, ssqp
 from singquandles.presentation import (
     SingPresentation,
+    _coloring_rows,
     _plan,
     counting_invariant,
     enumerate_homs,
@@ -21,6 +22,7 @@ from singquandles.presentation import (
     parse_presentation,
     phi_ssqp,
     render_presentation,
+    seed_sets,
 )
 from singquandles.terms import Gen, parse_term
 
@@ -362,6 +364,31 @@ def test_batched_closures_match_oracle(monkeypatch, target, block):
     want = [sorted(naive_closure(q, seed)) for seed in seeds]
     width = max(map(len, want))
     assert got == [members + [n] * (width - len(members)) for members in want]
+
+
+# 50 orbit representatives, 16 of whose closures are all 48 elements: such a
+# row leaves in the round that marks every element, without a round that
+# only re-proves it closed (217,026 products when it took one)
+@pytest.mark.parametrize("block", [kernels.CLOSURE_BLOCK, 64])
+def test_closures_that_reach_every_element_match_oracle(monkeypatch, block):
+    monkeypatch.setattr(kernels, "CLOSURE_BLOCK", block)
+    q = affine_singquandle(48, 47, 2)
+    n = q.order
+    seeds, _, _ = seed_sets(_coloring_rows(corpus.load("1_1l"), q), n)
+    label = kernels.orbit_labels(seeds, kernels.moving_rhos(q.star, q.generators()), n)
+    reps = seeds[label == np.arange(len(label))]
+    products = [0]
+    orig = kernels._members
+
+    def counted(tables, rows, n):
+        products[0] += 3 * rows.shape[0] * rows.shape[1] ** 2
+        return orig(tables, rows, n)
+    monkeypatch.setattr(kernels, "_members", counted)
+    got = kernels.closures((q.star, q.r1, q.r2), reps, n).tolist()
+    want = [sorted(naive_closure(q, row[row < n].tolist())) for row in reps]
+    assert got == [members + [n] * (n - len(members)) for members in want]
+    assert (len(reps), sum(len(members) == n for members in want)) == (50, 16)
+    assert products[0] == 64_962
 
 
 def test_phi_takes_little_memory_over_a_large_trivial_target():
