@@ -49,6 +49,7 @@ safe to call from multiple threads.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -186,6 +187,10 @@ class FiniteSingquandle:
         labels = tuple(self.labels) or tuple(str(i) for i in range(self.order))
         if len(labels) != self.order or len(set(labels)) != self.order:
             raise MalformedTableError("labels must be distinct, one per element")
+        for lab in self.labels:  # not empty, no separator, and no row reads as a line head
+            if not lab or re.search(r"[\s,#]|^labels:|^(?:star|R1|R2):+$", lab):
+                raise MalformedTableError(f"label {lab!r} is empty, contains whitespace, "
+                                          f"',' or '#', or reads as a table file's line head")
         report, star, r1, r2, bar, gens = _validate(self.star, self.r1, self.r2, self.order)
         if not report.ok:  # the report lists quandle rows first
             if report.violations[0].axiom in _QUANDLE_AXIOMS.values():

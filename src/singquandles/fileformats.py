@@ -107,6 +107,8 @@ def _parse_table_variant(lines: list[str], n: int) -> FiniteSingquandle:
     current: list[str] | None = None
     for line in lines:
         if line.startswith("labels:"):
+            if "," in line:
+                raise ParseError("a label must not contain ','")
             if labels is not None or blocks:
                 raise ParseError("a labels line must come once, before the first table block")
             labels = line[len("labels:"):].split()

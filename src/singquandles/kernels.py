@@ -80,9 +80,10 @@ one int64 key per row (:func:`_row_keys`): each column is a digit of a base
 above every entry, so equal rows share a key and keys ascend in the rows'
 lexicographic order.  Before a digit would take a key past 2^62, the
 partial keys are replaced by their dense ranks.  :func:`distinct_rows`
-sorts the keys once, :func:`orbit_labels` finds each image among the seed
-sets by a binary search of its key, and :func:`enumerate_colorings` orders
-its result by the key of the generator columns.
+sorts the keys once, :func:`orbit_labels` sorts each image row, a set since
+its map is a permutation, and finds it among the seed sets by a binary
+search of its key, and :func:`enumerate_colorings` orders its result by the
+key of the generator columns.
 """
 
 from __future__ import annotations
@@ -269,24 +270,18 @@ def _sing_rows(star, bar, r1, r2, cap: int, autos):
     n = star.shape[0]
     idx = np.arange(n, dtype=np.int64)
     star_t = np.ascontiguousarray(star.T)  # star_t[b, c] = c*b
-    bar_t = None                           # bar_t[b, c] = c/b, once read
+    bar_t = np.ascontiguousarray(bar.T)    # bar_t[b, c] = c/b
     row_b = idx[:, None] * n               # flat offset of row b
-
-    def transposed_bar():  # built for the first slab of 2 or 3; a valid table reads none
-        nonlocal bar_t
-        if bar_t is None:
-            bar_t = np.ascontiguousarray(bar.T)
-        return bar_t
 
     def one(a):  # R1(a/b, c)*b == R1(a, c*b)
         return star_t.ravel().take(r1[bar[a]] + row_b), r1[a].take(star_t)
 
     def two(a):  # R2(a/b, c) == R2(a, c*b)/b
-        return r2[bar[a]], transposed_bar().ravel().take(r2[a].take(star_t) + row_b)
+        return r2[bar[a]], bar_t.ravel().take(r2[a].take(star_t) + row_b)
 
     def three(a):  # (b/R1(a,c))*a == (b*R2(a,c))/c
         return (star_t[a].take(bar.take(r1[a], axis=1)),
-                transposed_bar().ravel().take(star.take(r2[a], axis=1) + row_b.T))
+                bar_t.ravel().take(star.take(r2[a], axis=1) + row_b.T))
 
     proved_1_and_2 = True
     for code, table, block in ((1, r1, one), (2, r2, two)):
@@ -499,7 +494,8 @@ def distinct_rows(a: np.ndarray):
 
 
 def canonical_sets(rows: np.ndarray, n: int) -> np.ndarray:
-    """Each row as its set: sorted, with repeats replaced by n, sorted again."""
+    """Each row as its set: sorted, with repeats replaced by n, sorted again.
+    Coloring rows need it; an image of a set under a permutation, one sort."""
     rows = np.sort(rows, axis=1)
     tail = rows[:, 1:]
     tail[tail == rows[:, :-1]] = n
@@ -517,8 +513,9 @@ def orbit_labels(seeds: np.ndarray, rhos: np.ndarray, n: int) -> np.ndarray:
 
     phi passes the seed sets of the colorings: the seed set of a coloring h
     moves to the seed set of rho o h, which is again a coloring when rho is
-    an automorphism; a seed set whose image is not among seeds means that
-    premise failed, and raises.  Seeds and images get their keys
+    an automorphism, so one sort makes each image row canonical.  An image
+    not among seeds, a repeat from a map that is not injective included,
+    means that premise failed, and raises.  Seeds and images get their keys
     (:func:`_row_keys`, base n + 1) in one call, so that a fold ranks them
     together; the seeds' keys then ascend, and one ``searchsorted`` finds
     each image among them.  The orbits are the components of the graph
@@ -536,7 +533,8 @@ def orbit_labels(seeds: np.ndarray, rhos: np.ndarray, n: int) -> np.ndarray:
         return label
     maps = np.full((len(rhos), n + 1), n, dtype=np.int64)
     maps[:, :n] = rhos
-    images = canonical_sets(maps[:, seeds].reshape(len(rhos) * d, seeds.shape[1]), n)
+    images = maps[:, seeds].reshape(len(rhos) * d, seeds.shape[1])
+    images.sort(axis=1)
     key = _row_keys(np.concatenate([seeds, images]).T, n + 1, d + len(images))
     there = np.minimum(np.searchsorted(key[:d], key[d:]), d - 1)
     missing = key[:d][there] != key[d:]

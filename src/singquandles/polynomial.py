@@ -20,7 +20,7 @@ Python integers.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Union
 
 import numpy as np
 
@@ -96,15 +96,9 @@ class SqPolynomial:
         return " + ".join(parts)
 
 
-def _subset_poly(rows: Sequence[Sequence[int]], members: Iterable[int]) -> SqPolynomial:
-    """Sum of the profile monomials of members; rows is ``q.profiles().tolist()``
-    of the ambient structure, taken once by the caller and shared."""
-    return SqPolynomial(Counter(tuple(rows[x]) for x in members).items())
-
-
 def sqp(q: FiniteSingquandle) -> SqPolynomial:
     """Singquandle polynomial: sum of profile monomials over the carrier."""
-    return _subset_poly(q.profiles().tolist(), range(q.order))
+    return _phi_of_closures(q.profiles(), np.arange(q.order)[None], [1]).entries()[0][0]
 
 
 def ssqp(q: FiniteSingquandle, subset: Iterable[int]) -> SqPolynomial:
@@ -114,7 +108,7 @@ def ssqp(q: FiniteSingquandle, subset: Iterable[int]) -> SqPolynomial:
     if not q.is_subsingquandle(members):
         raise NotASubsingquandleError(
             f"{members} is not a subsingquandle (empty or not closed)")
-    return _subset_poly(q.profiles().tolist(), members)
+    return _phi_of_closures(q.profiles(), np.array([members]), [1]).entries()[0][0]
 
 
 def quandle_restriction(p: SqPolynomial) -> dict[tuple[int, int], int]:
@@ -184,7 +178,8 @@ def _phi_of_closures(profiles: np.ndarray, members: np.ndarray, counts) -> PhiIn
     """phi from subsingquandles, each with its number of colorings.
     profiles is ``q.profiles()`` of the ambient structure, taken once by the
     caller, and members holds one subsingquandle per row, ascending and
-    padded with the order n, as :func:`kernels.closures` returns them.
+    padded with the order n, as :func:`kernels.closures` returns them;
+    :func:`sqp` and :func:`ssqp` are its case of one image.
 
     A polynomial is fixed by the multiset of its members' profile rows.  So
     each element gets a kind, the index of its profile row among the

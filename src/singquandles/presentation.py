@@ -207,8 +207,6 @@ def _coloring_rows(pres: SingPresentation, q: FiniteSingquandle) -> np.ndarray:
     coloring in lexicographic order.  Every row is re-checked against every
     original relation, not the plan's peeled terms, so the plan's
     derivations, joins and pruning can never admit a spurious solution."""
-    if not pres.generators:
-        return np.zeros((1, 0), dtype=np.int64)
     tables = {"*": q.star, "/": q.bar, "R1": q.r1, "R2": q.r2}
     rows = kernels.enumerate_colorings(tables, pres.generators, _plan(pres))
     cols = dict(zip(pres.generators, rows.T))

@@ -8,6 +8,7 @@ is meaningful evidence rather than a tautology.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,6 +143,89 @@ def brute_homs(pres, q: FiniteSingquandle) -> list[dict[str, int]]:
                for lhs, rhs in pres.relations):
             out.append(env)
     return out
+
+
+def affine_coloring_count(pres, n: int, t: int, s: int) -> int:
+    """The number of colorings of pres by affine(n, t, s), from its linear
+    relations alone.  Each term becomes a vector of integer coefficients over
+    the generators and one auxiliary u per ``/``: ``a/b`` is the u with
+    t*u + (1-t)*b = a, unique since t is a unit mod n.  The relations and
+    these equations form an integer matrix A, and the colorings are the x
+    with A x = 0 mod n.  Unimodular row and column operations bring A to a
+    diagonal d_1..d_r without changing that count, which is then
+    prod gcd(d_i, n) * n^(vars - r); the divisibility of the Smith form is
+    not needed for it (Inoue, Knot quandles and infinite cyclic covering
+    spaces, 2001)."""
+    index = {g: i for i, g in enumerate(pres.generators)}
+    aux = itertools.count(len(index))  # the auxiliaries' columns
+    eqs = []
+
+    def vector(term) -> dict[int, int]:
+        if isinstance(term, Gen):
+            return {index[term.name]: 1}
+        a, b = vector(term.left), vector(term.right)
+        if term.op == "/":
+            u = {next(aux): 1}
+            eqs.append(_combine((t, u), (1 - t, b), (-1, a)))
+            return u
+        x, y = {"*": (t, 1 - t), "R1": (s, 1 - s), "R2": (t * (1 - s), 1 - t + s * t)}[term.op]
+        return _combine((x, a), (y, b))
+
+    for lhs, rhs in pres.relations:
+        eqs.append(_combine((1, vector(lhs)), (-1, vector(rhs))))
+    width = next(aux)
+    rows = [[e.get(j, 0) % n for j in range(width)] for e in eqs]
+    count = n ** width
+    for d in _diagonal(rows, n):
+        count = count // n * math.gcd(d, n)
+    return count
+
+
+def _combine(*scaled) -> dict[int, int]:
+    out: dict[int, int] = {}
+    for c, vec in scaled:
+        for j, v in vec.items():
+            out[j] = out.get(j, 0) + c * v
+    return out
+
+
+def _diagonal(rows: list[list[int]], n: int) -> list[int]:
+    """The nonzero diagonal entries, mod n, that integer row and column
+    operations bring rows to.  Each pivot is the least nonzero entry left; a
+    remainder in its row or column becomes the next, smaller pivot."""
+    rows = [r[:] for r in rows]
+    out = []
+    while True:
+        cells = [(v, i, j) for i, r in enumerate(rows) for j, v in enumerate(r) if v]
+        if not cells:
+            return out
+        p, i, j = min(cells)
+        rows[0], rows[i] = rows[i], rows[0]
+        for r in rows:
+            r[0], r[j] = r[j], r[0]
+        while True:
+            for r in rows[1:]:
+                q = r[0] // p
+                for k in range(len(r)):
+                    r[k] = (r[k] - q * rows[0][k]) % n
+            top = rows[0]
+            for k in range(1, len(top)):
+                q = top[k] // p
+                for r in rows:
+                    r[k] = (r[k] - q * r[0]) % n
+            # remainders left in the pivot's column (rows i > 0) and row (columns -k)
+            rest = ([(r[0], i) for i, r in enumerate(rows) if i and r[0]]
+                    + [(v, -k) for k, v in enumerate(top) if k and v])
+            if not rest:
+                break
+            p, at = min(rest)
+            if at > 0:
+                rows[0], rows[at] = rows[at], rows[0]
+            else:
+                for r in rows:
+                    r[0], r[-at] = r[-at], r[0]
+        out.append(p)
+        rows = [r[1:] for r in rows[1:]]
 
 
 def shift_singquandle(n: int, s: int = 1) -> FiniteSingquandle:
@@ -329,6 +413,8 @@ def read_table_file(text: str) -> FiniteSingquandle:
     current = None
     for line in lines[1:]:
         if line.startswith("labels:"):
+            if "," in line:
+                raise ParseError("a label must not contain ','")
             if labels is not None or blocks:
                 raise ParseError("a labels line must come once, before the first table block")
             labels = line[len("labels:"):].split()

@@ -14,7 +14,9 @@ from singquandles.presentation import _plan, counting_invariant
 
 from oracles import (
     NotRightInvertibleError,
+    affine_coloring_count,
     bar_by_columns,
+    brute_homs,
     element_orbits,
     quandle_ok,
     shift_singquandle,
@@ -443,6 +445,14 @@ def test_orbit_labels_reject_an_image_that_falls_between_seed_sets():
         kernels.orbit_labels(np.array([[0], [2]]), rhos, 3)
 
 
+def test_orbit_labels_reject_a_map_that_is_not_injective_on_a_seed_set():
+    # x -> [0, 0, 2][x] sends {0, 1} to the multiset {0, 0}, no seed set;
+    # made a set, it would be the seed set {0}
+    seeds = np.array([[0, 1], [0, 3], [2, 3]])
+    with pytest.raises(RuntimeError, match=r"seed set \[0, 1\] maps to \[0, 0\]"):
+        kernels.orbit_labels(seeds, np.array([[0, 0, 2]]), 3)
+
+
 def _distinct_rows_cases():
     rng = np.random.default_rng(22)
     pool = rng.integers(0, 4096, (5, 12))
@@ -578,6 +588,27 @@ def _link(cid):
 @pytest.mark.parametrize("link, count", [("6_11l-pd", 512), ("K2", 256)])
 def test_counting_at_order_256(affine256, link, count):
     assert counting_invariant(_link(link), affine256) == count
+
+
+def test_linear_count_oracle_matches_brute_force():
+    for link in ("1_1l", "1_1l-2gen", "6_11l", "K1", "K2"):
+        pres = corpus.load(link)
+        for n, t, s in ((3, 2, 1), (4, 3, 2), (4, 1, 2), (5, 2, 3)):
+            want = len(brute_homs(pres, affine_singquandle(n, t, s)))
+            assert affine_coloring_count(pres, n, t, s) == want, (link, n, t, s)
+
+
+# orders brute_homs cannot reach: the counts of all nine corpus links, hand
+# and PD, against the Smith-form count over the affine relation matrix
+@pytest.mark.parametrize("n, t, s", [(64, 63, 2), (64, 3, 2), (128, 3, 5), (128, 127, 64),
+                                     (256, 5, 7), (256, 3, 2)])
+def test_counting_matches_linear_count_oracle(n, t, s):
+    q = affine_singquandle(n, t, s)
+    links = [cid for cid in corpus.ids() if corpus.entry(cid).kind != "singquandle"]
+    assert len(links) == 9
+    for link in links:
+        pres = _link(link)
+        assert counting_invariant(pres, q) == affine_coloring_count(pres, n, t, s), link
 
 
 @pytest.mark.parametrize("link", ["6_11l-pd", "K2"])

@@ -1,3 +1,5 @@
+import functools
+import json
 import os
 import random
 import re
@@ -9,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import singquandles
-from singquandles import corpus, kernels
+from singquandles import cli, corpus, kernels
 from singquandles.cli import main
 from singquandles.core import MAX_VIOLATIONS
 from singquandles.fileformats import MAX_ORDER, load_singquandle, render_singquandle
@@ -18,6 +20,7 @@ from singquandles.presentation import _plan, parse_presentation, render_presenta
 from singquandles.terms import MAX_DEPTH
 
 from oracles import naive_closure, violation_rows
+from record_cli_digest import DIGEST_PATH, run_matrix
 
 
 def run(capsys, *argv):
@@ -375,12 +378,17 @@ def test_link_commands_reject_singquandle_id(capsys):
     (["validate"], "singquandle n=2\nlabels: a b\nlabels: b a\n"
      "star:\na a\nb b\nR1:\nb a\nb a\nR2:\nb b\na a\n", 3,
      "error: a labels line must come once, before the first table block"),
+    # loads at the parent, where `ssqp --subset a,b` then finds no label 'a'
+    (["validate"], "singquandle n=2\nlabels: a,b c\n"
+     "star:\na,b a,b\nc c\nR1:\nc a,b\nc a,b\nR2:\nc c\na,b a,b\n", 3,
+     "error: a label must not contain ','"),
     (["pd2rel"], "P[a,b,c,c]\n", 3, "error: label 'c' used twice as an output port"),
     (["validate"], "singquandle-formula n=4\nstar = " + "9" * 5000 + "*x + 2*y\nR1 = y\nR2 = x\n",
      3, "error: number too long in factor '" + "9" * 40 + "'\n"),
 ], ids=["link-id-as-structure", "gen-order-not-an-integer", "empty-file", "order-zero",
         "formula-line-without-equals", "formula-key-R3", "labels-count", "row-before-block",
-        "second-labels-line", "output-port-twice", "formula-literal-too-long"])
+        "second-labels-line", "comma-in-a-label", "output-port-twice",
+        "formula-literal-too-long"])
 def test_documented_exits(tmp_path, capsys, argv, text, code, message):
     if text is not None:
         p = tmp_path / "input"
@@ -467,3 +475,14 @@ def test_cli_runs_never_import_numpy_ma(tmp_path):
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == f"{[0] * len(argvs)} False"
+
+
+def test_cli_output_matches_recorded_digest(monkeypatch):
+    # about 1,400 in-process calls (see tests/record_cli_digest.py); one
+    # parser serves them all, since building it is half of a small call
+    monkeypatch.setattr(cli, "build_parser", functools.cache(cli.build_parser))
+    want = json.loads(DIGEST_PATH.read_text())
+    got = run_matrix()
+    assert list(got) == list(want)
+    differ = [argv for argv, sha in want.items() if got[argv] != sha]
+    assert not differ, f"{len(differ)} of {len(want)} calls differ, the first: {differ[0]}"

@@ -285,10 +285,26 @@ def test_labels_and_lookup():
                           labels=("a", "a"))
 
 
-@pytest.mark.parametrize("labels", [("a",) * 4, ("a", "b")], ids=["repeated", "too-few"])
-def test_bad_labels_are_rejected_before_the_tables_are_scanned(monkeypatch, xz4, labels):
+_UNWRITABLE = "is empty, contains whitespace"
+
+
+@pytest.mark.parametrize("labels, message", [
+    (("a",) * 4, "labels must be distinct"),
+    (("a", "b"), "labels must be distinct"),
+    # labels a table file cannot carry: render_singquandle would write a
+    # file that parse_singquandle rejects or misreads
+    (("a b", "c", "d", "e"), _UNWRITABLE),
+    (("a\u3000b", "c", "d", "e"), _UNWRITABLE),
+    (("a#b", "c", "d", "e"), _UNWRITABLE),
+    (("", "c", "d", "e"), _UNWRITABLE),
+    (("a,b", "c", "d", "e"), _UNWRITABLE),
+    (("labels:a", "c", "d", "e"), _UNWRITABLE),
+    (("R1::", "c", "d", "e"), _UNWRITABLE),
+], ids=["repeated", "too-few", "space", "ideographic-space", "hash", "empty", "comma",
+        "labels-prefix", "block-head"])
+def test_bad_labels_are_rejected_before_the_tables_are_scanned(monkeypatch, xz4, labels, message):
     monkeypatch.setattr(core, "_validate", lambda *args: pytest.fail("tables were scanned"))
-    with pytest.raises(MalformedTableError, match="labels must be distinct"):
+    with pytest.raises(MalformedTableError, match=message):
         FiniteSingquandle(order=4, star=xz4.star, r1=xz4.r1, r2=xz4.r2, labels=labels)
     # an order int16 cannot hold is still the first error
     t = np.broadcast_to(np.int64(0), (2**15 + 1, 2**15 + 1))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from singquandles import corpus, fileformats
-from singquandles.errors import NotAQuandleError, ParseError
+from singquandles.errors import MalformedTableError, NotAQuandleError, ParseError
 from singquandles.fileformats import load_singquandle, parse_singquandle, render_singquandle
 from singquandles.core import table_singquandle
 from singquandles.formulas import affine_singquandle
@@ -66,6 +66,33 @@ q q
     assert q.labels == ("p", "q")
     assert "labels: p q" in render_singquandle(q)
     assert parse_singquandle(render_singquandle(q)) == q
+
+
+def _by_label(q):
+    """The three tables as a map from pairs of labels to triples of labels."""
+    lab = q.labels
+    return {(lab[a], lab[b]): (lab[q.star[a, b]], lab[q.r1[a, b]], lab[q.r2[a, b]])
+            for a in range(q.order) for b in range(q.order)}
+
+
+def test_every_accepted_labelling_renders_and_parses_back():
+    # labels pieced from line heads, colons and digits, so that many are
+    # rejected; every labelling the constructor takes must survive a file
+    # (residue permutations come back in residue order, so compare by label)
+    rng = random.Random(23)
+    pieces = ["labels:", "star", "R1", "R2", ":", "::", "0", "1", "a", "\u00e9", "\u0663", "-"]
+    accepted = rejected = 0
+    for _ in range(600):
+        q = affine_singquandle(*rng.choice([(1, 0, 0), (2, 1, 1), (3, 2, 1), (4, 3, 2)]))
+        labels = ["".join(rng.choices(pieces, k=rng.randint(1, 3))) for _ in range(q.order)]
+        try:
+            q = table_singquandle(q.order, q.star, q.r1, q.r2, labels=labels)
+        except MalformedTableError:
+            rejected += 1
+            continue
+        accepted += 1
+        assert _by_label(parse_singquandle(render_singquandle(q))) == _by_label(q)
+    assert accepted > 100 and rejected > 100
 
 
 def test_numeric_label_permutation_normalizes():
@@ -243,6 +270,9 @@ _REJECTED = {
     # n distinct labels, so only its place is wrong
     "labels-line-inside-a-block": _in_row(lambda toks: [" ".join(toks),
                                                         "labels: " + " ".join(map(str, range(_N)))]),
+    # n distinct labels, one holding ',': the label is reported before the place
+    "comma-in-a-labels-line": _in_row(lambda toks: [" ".join(toks), "labels: 0,1 "
+                                                    + " ".join(map(str, range(1, _N)))]),
 }
 _LOADED = {
     "unit-separator": _in_row(lambda toks: ["\x1f".join(toks)]),

@@ -1,6 +1,6 @@
 import pytest
 
-from singquandles import corpus
+from singquandles import corpus, polynomial, presentation
 from singquandles.errors import NotASubsingquandleError
 from singquandles.polynomial import (
     PhiInvariant,
@@ -11,7 +11,7 @@ from singquandles.polynomial import (
     ssqp,
 )
 
-from oracles import naive_qp_terms, naive_sqp_terms, shift_singquandle
+from oracles import naive_qp_terms, naive_sqp_terms, shift_singquandle, union_singquandle
 
 
 def mono(s1=0, t1=0, s2=0, t2=0, s3=0, t3=0):
@@ -59,10 +59,33 @@ def test_equality_and_hash():
     assert a != SqPolynomial({mono(s1=1): 3})
 
 
-@pytest.mark.parametrize("cid", ["X-Z4", "Y-Z4", "X-Z8-a", "X-Z8-b"])
+# targets outside the affine family: a trivial star with shifted R1 and R2,
+# and a disjoint union whose components give elements different profiles
+_OTHER_TARGETS = {"shift-5-2": lambda: shift_singquandle(5, 2),
+                  "union-3-3-5": lambda: union_singquandle((3, 3, 5))}
+
+
+@pytest.mark.parametrize("cid", ["X-Z4", "Y-Z4", "X-Z8-a", "X-Z8-b", *_OTHER_TARGETS])
 def test_sqp_matches_oracle_term_map(cid):
-    q = corpus.load(cid)
+    q = _OTHER_TARGETS[cid]() if cid in _OTHER_TARGETS else corpus.load(cid)
     assert dict(sqp(q).terms()) == naive_sqp_terms(q)
+
+
+@pytest.mark.parametrize("call", [sqp, lambda q: ssqp(q, [1, 3]),
+                                  lambda q: presentation.phi_ssqp(corpus.load("1_1l"), q)],
+                         ids=["sqp", "ssqp", "phi_ssqp"])
+def test_polynomials_are_built_by_one_builder(monkeypatch, xz4, call):
+    calls = []
+    orig = polynomial._phi_of_closures
+
+    def counted(*args):
+        calls.append(args)
+        return orig(*args)
+    # presentation holds its own reference to the builder
+    monkeypatch.setattr(polynomial, "_phi_of_closures", counted)
+    monkeypatch.setattr(presentation, "_phi_of_closures", counted)
+    call(xz4)
+    assert len(calls) == 1
 
 
 def test_sqp_expected_renders():
