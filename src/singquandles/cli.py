@@ -4,12 +4,15 @@ Inputs are file paths or ``corpus:<id>`` references.  Exit status: 0 on
 success, 2 for usage errors (including a ``gen --n`` outside
 1..``fileformats.MAX_ORDER``), 3 for unparseable input (including a file
 header whose order exceeds ``fileformats.MAX_ORDER``), 4 for validation
-failures (tables that are not singquandles, bad subsets, and the like).
+failures (tables that are not singquandles, bad subsets, and the like), and
+141 (128 + SIGPIPE), with nothing on stderr, when the reader of stdout
+closes it before the output is written.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Optional
 
@@ -30,6 +33,7 @@ from .presentation import (
 )
 
 USAGE_ERROR, PARSE_ERROR, VALIDATION_ERROR = 2, 3, 4
+BROKEN_PIPE = 141  # 128 + SIGPIPE
 
 
 def _resolve(arg: str, kinds, what: str, load_path):
@@ -169,73 +173,117 @@ def _cmd_pd2rel(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="singquandles",
-        description="Finite oriented singquandles: validation, polynomial invariants, "
-                    "and colorings of singular links.")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _add_format(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--format", choices=("human", "machine"), default="human",
+                   help="machine output is line-stable for scripting")
 
-    def add_format(p):
-        p.add_argument("--format", choices=("human", "machine"), default="human",
-                       help="machine output is line-stable for scripting")
 
-    p = sub.add_parser("validate", help="check a singquandle file against all axioms")
+def _validate_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("structure", help="singquandle file or corpus:<id>")
-    p.set_defaults(func=_cmd_validate)
 
-    p = sub.add_parser("gen", help="generate a structure from a named family")
+
+def _gen_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("family", help="family name; 'affine'")
     p.add_argument("--n", type=_order, required=True, help=f"order (modulus), 1..{MAX_ORDER}")
     p.add_argument("--t", type=int, required=True, help="star parameter, invertible mod n")
     p.add_argument("--s", type=int, required=True, help="R1 parameter")
     p.add_argument("-o", "--output", help="write to a file instead of stdout")
-    p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("sqp", help="singquandle polynomial of a structure")
+
+def _sqp_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("structure")
-    add_format(p)
-    p.set_defaults(func=_cmd_sqp)
+    _add_format(p)
 
-    p = sub.add_parser("ssqp", help="subsingquandle polynomial of a subset")
+
+def _ssqp_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("structure")
     p.add_argument("--subset", required=True, help="comma-separated element labels")
-    add_format(p)
-    p.set_defaults(func=_cmd_ssqp)
+    _add_format(p)
 
-    p = sub.add_parser("color", help="count (and list) colorings of a link by a structure")
+
+def _color_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("link", help="presentation/PD file or corpus:<id>")
     p.add_argument("structure")
     p.add_argument("--list", action="store_true", help="print every coloring with its image")
-    add_format(p)
-    p.set_defaults(func=_cmd_color)
+    _add_format(p)
 
-    p = sub.add_parser("phi", help="phi invariant of a link against a structure")
+
+def _phi_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("link")
     p.add_argument("structure")
-    add_format(p)
-    p.set_defaults(func=_cmd_phi)
+    _add_format(p)
 
-    p = sub.add_parser("iso", help="search for an isomorphism between two structures")
+
+def _iso_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("first")
     p.add_argument("second")
-    p.set_defaults(func=_cmd_iso)
 
-    p = sub.add_parser("pd2rel", help="compile a PD code to a presentation")
+
+def _pd2rel_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("pd", help="PD file or corpus:<id>")
-    p.set_defaults(func=_cmd_pd2rel)
 
+
+# name -> (help, adds the command's arguments, handler), in usage order
+_COMMANDS = {
+    "validate": ("check a singquandle file against all axioms", _validate_args, _cmd_validate),
+    "gen": ("generate a structure from a named family", _gen_args, _cmd_gen),
+    "sqp": ("singquandle polynomial of a structure", _sqp_args, _cmd_sqp),
+    "ssqp": ("subsingquandle polynomial of a subset", _ssqp_args, _cmd_ssqp),
+    "color": ("count (and list) colorings of a link by a structure", _color_args, _cmd_color),
+    "phi": ("phi invariant of a link against a structure", _phi_args, _cmd_phi),
+    "iso": ("search for an isomorphism between two structures", _iso_args, _cmd_iso),
+    "pd2rel": ("compile a PD code to a presentation", _pd2rel_args, _cmd_pd2rel),
+}
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The CLI parser with every command, or with the one named command alone.
+
+    A one-command parser parses that command's argv as the full parser does
+    and prints the same usage, help and errors: its subcommand metavar lists
+    every command.  The full parser sets no metavar, since one would rename
+    ``command`` in its "invalid choice" and "required" errors.
+    """
+    parser = argparse.ArgumentParser(
+        prog="singquandles",
+        description="Finite oriented singquandles: validation, polynomial invariants, "
+                    "and colorings of singular links.")
+    if command is None:
+        sub = parser.add_subparsers(dest="command", required=True)
+        names = list(_COMMANDS)
+    else:
+        sub = parser.add_subparsers(dest="command", required=True,
+                                    metavar="{" + ",".join(_COMMANDS) + "}")
+        names = [command]
+    for name in names:
+        help_text, add_arguments, handler = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        add_arguments(p)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # a call builds only the parser of the command it runs: building all of
+    # them costs more than a small call's own work
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not in the flush at exit
+        return code
+    except BrokenPipeError:
+        # the reader is gone: send what stdout still buffers to devnull so the
+        # flush at exit stays quiet, and exit as a process killed by SIGPIPE
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return BROKEN_PIPE
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return PARSE_ERROR

@@ -1,4 +1,5 @@
-import functools
+import argparse
+import gc
 import json
 import os
 import random
@@ -6,6 +7,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import pytest
@@ -32,6 +34,71 @@ def run(capsys, *argv):
 def test_no_command_is_usage_error(capsys):
     assert run(capsys, )[0] == 2
     assert run(capsys, "frobnicate")[0] == 2
+
+
+# a minimal argv each command parses, without the command name
+_PARSES = {"validate": ["s"], "gen": ["affine", "--n", "4", "--t", "3", "--s", "2"],
+           "sqp": ["s"], "ssqp": ["s", "--subset", "1"], "color": ["l", "s"],
+           "phi": ["l", "s"], "iso": ["a", "b"], "pd2rel": ["p"]}
+_USAGE_ARGVS = [[], ["-h"], ["frob"], ["PHI"],
+                ["color", "l", "s", "--bogus"], ["phi", "l", "s", "--format", "xml"],
+                ["sqp", "s", "--form", "xml"], ["gen", "affine", "--n", "0", "--t", "3", "--s", "2"]]
+_USAGE_ARGVS += [argv for name, rest in _PARSES.items()
+                 for argv in ([name, "-h"], [name], [name, *rest, "extra"])]
+
+
+@pytest.mark.parametrize("columns", ["20", "80", "200"])
+def test_usage_help_and_errors_match_the_full_parser(monkeypatch, capsys, columns):
+    # main builds only the invoked command's parser; what it prints must not
+    # tell the two apart
+    monkeypatch.setenv("COLUMNS", columns)
+    for argv in _USAGE_ARGVS:
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args(argv)
+        want = (exc.value.code, *capsys.readouterr())
+        assert run(capsys, *argv) == want, argv
+
+
+def test_a_one_command_parser_parses_as_the_full_parser():
+    argvs = [[name, *rest] for name, rest in _PARSES.items()]
+    for argv in [*argvs, ["phi", "l", "s", "--form", "machine"], ["color", "--li", "l", "s"]]:
+        assert cli.build_parser(argv[0]).parse_args(argv) == cli.build_parser().parse_args(argv)
+
+
+def _count_parsers(monkeypatch):
+    """Weak references to every ArgumentParser built from now on."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(weakref.ref(self))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    return built
+
+
+def test_a_call_builds_its_own_command_parser_alone(monkeypatch, capsys):
+    # the top-level parser and the one subparser; the full parser has nine
+    built = _count_parsers(monkeypatch)
+    assert run(capsys, "phi", "corpus:1_1l", "corpus:X-Z4")[0] == 0
+    assert len(built) == 2
+    gc.collect()
+    assert not [ref for ref in built if ref() is not None]  # no parser outlives its call
+    built.clear()
+    cli.build_parser()
+    assert len(built) == 9
+
+
+def test_console_script_takes_the_command_from_sys_argv(monkeypatch, capsys):
+    built = _count_parsers(monkeypatch)
+    monkeypatch.setattr(sys, "argv", ["singquandles", "validate", "corpus:X-Z4"])
+    assert main() == 0
+    assert capsys.readouterr().out == "valid singquandle of order 4\n"
+    assert len(built) == 2
+    monkeypatch.setattr(sys, "argv", ["singquandles", "frob"])
+    assert main() == 2
+    assert "invalid choice: 'frob'" in capsys.readouterr().err
 
 
 def test_validate_corpus(capsys):
@@ -452,6 +519,13 @@ def test_mutated_corpus_files_fail_with_documented_exits(tmp_path, capsys):
                 assert code in (0, 3, 4) and "Traceback" not in err, (path.name, text[:200])
 
 
+def _checkout_env() -> dict:
+    """The environment with this checkout's src/ first on PYTHONPATH, for a subprocess."""
+    src = str(Path(singquandles.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
 def test_cli_runs_never_import_numpy_ma(tmp_path):
     # numpy.ma costs an import that setup and every first call would pay;
     # np.unique(axis=0) asked for the rows alone pulls it in, so no command
@@ -468,21 +542,41 @@ def test_cli_runs_never_import_numpy_ma(tmp_path):
               "with contextlib.redirect_stdout(io.StringIO()):\n"
               f"    codes = [main(argv) for argv in {argvs!r}]\n"
               "print(codes, 'numpy.ma' in sys.modules)\n")
-    src = str(Path(singquandles.__file__).parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env,
-                          timeout=120)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=_checkout_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == f"{[0] * len(argvs)} False"
 
 
-def test_cli_output_matches_recorded_digest(monkeypatch):
-    # about 1,400 in-process calls (see tests/record_cli_digest.py); one
-    # parser serves them all, since building it is half of a small call
-    monkeypatch.setattr(cli, "build_parser", functools.cache(cli.build_parser))
+def test_cli_output_matches_recorded_digest():
+    # about 1,400 in-process calls (see tests/record_cli_digest.py)
     want = json.loads(DIGEST_PATH.read_text())
     got = run_matrix()
     assert list(got) == list(want)
     differ = [argv for argv, sha in want.items() if got[argv] != sha]
     assert not differ, f"{len(differ)} of {len(want)} calls differ, the first: {differ[0]}"
+
+
+@pytest.mark.parametrize("argv, lines_read", [
+    # more than a pipe buffer: the write in the call meets the closed pipe
+    (["gen", "affine", "--n", "512", "--t", "3", "--s", "2"], 1),
+    # one line, still buffered when the call ends
+    (["validate", "corpus:X-Z4"], 0),
+], ids=["large-output", "buffered-output"])
+def test_a_closed_output_pipe_exits_quietly(argv, lines_read):
+    # stdout buffered, as by default: unbuffered, a write cut short by the
+    # closed pipe returns its partial count and raises nothing
+    env = {k: v for k, v in _checkout_env().items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.Popen([sys.executable, "-m", "singquandles.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        for _ in range(lines_read):
+            assert proc.stdout.readline()
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == 141
+        assert proc.stderr.read() == b""
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
+        proc.stderr.close()
