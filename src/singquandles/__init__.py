@@ -10,7 +10,6 @@ planar-diagram codes.  The hot loops are numpy kernels (see
 from .core import (
     FiniteSingquandle,
     IsomorphismResult,
-    Profile,
     ValidationReport,
     Violation,
     find_isomorphism,
@@ -25,17 +24,16 @@ from .errors import (
 )
 from .fileformats import load_singquandle, parse_singquandle, render_singquandle
 from .formulas import BivariatePolyFormula, affine_singquandle, formula_singquandle, parse_formula
-from .polynomial import PhiInvariant, SqPolynomial, phi_from_images, quandle_restriction, sqp, ssqp
+from .polynomial import PhiInvariant, SqPolynomial, quandle_restriction, sqp, ssqp
 from .presentation import (
     SingPresentation,
     counting_invariant,
     enumerate_homs,
-    hom_image,
     parse_presentation,
     phi_ssqp,
     render_presentation,
 )
-from .terms import Apply, Gen, Term, eval_term, generators_of, parse_term, render_term
+from .terms import Apply, Gen, Term, generators_of, parse_term, render_term
 
 __version__ = "0.1.0"
 
@@ -48,7 +46,6 @@ __all__ = [
     "IsomorphismResult",
     "ParseError",
     "PhiInvariant",
-    "Profile",
     "SingPresentation",
     "SingquandleError",
     "SingularPD",
@@ -61,11 +58,9 @@ __all__ = [
     "affine_singquandle",
     "counting_invariant",
     "enumerate_homs",
-    "eval_term",
     "find_isomorphism",
     "formula_singquandle",
     "generators_of",
-    "hom_image",
     "load_singquandle",
     "parse_formula",
     "parse_pd",
@@ -73,7 +68,6 @@ __all__ = [
     "parse_singquandle",
     "parse_term",
     "pd_to_presentation",
-    "phi_from_images",
     "phi_ssqp",
     "quandle_restriction",
     "render_pd",

@@ -6,12 +6,13 @@ success, 2 for usage errors (including a ``gen --n`` outside
 header whose order exceeds ``fileformats.MAX_ORDER``), 4 for validation
 failures (tables that are not singquandles, bad subsets, and the like), and
 141 (128 + SIGPIPE), with nothing on stderr, when the reader of stdout
-closes it before the output is written.
+closes it before the output is written, buffered or not.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import sys
 from typing import Optional
@@ -65,6 +66,21 @@ def _load_link_arg(arg: str) -> SingPresentation:
     return pd_to_presentation(link) if isinstance(link, SingularPD) else link
 
 
+def _write(text: str) -> None:
+    """sys.stdout.write that raises BrokenPipeError when a closed pipe cuts it
+    short.  Unbuffered (``PYTHONUNBUFFERED``), stdout writes through to the raw
+    file, whose short count ``TextIOWrapper`` ignores; here the rest is
+    written again until none is left, and a write to the closed pipe raises."""
+    raw = getattr(sys.stdout, "buffer", None)
+    if not isinstance(raw, io.RawIOBase):
+        sys.stdout.write(text)
+        return
+    sys.stdout.flush()
+    data = memoryview(text.encode(sys.stdout.encoding, sys.stdout.errors))
+    while data:
+        data = data[raw.write(data):]
+
+
 def _print_poly(p: SqPolynomial, fmt: str) -> None:
     if fmt == "machine":
         for mono, coeff in p.terms():
@@ -110,7 +126,7 @@ def _cmd_gen(args) -> int:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
-        sys.stdout.write(text)
+        _write(text)
     return 0
 
 
@@ -169,7 +185,7 @@ def _cmd_iso(args) -> int:
 
 def _cmd_pd2rel(args) -> int:
     pd = _resolve(args.pd, SingularPD, "PD code", lambda path: parse_pd(read_text(path)))
-    sys.stdout.write(render_presentation(pd_to_presentation(pd)))
+    _write(render_presentation(pd_to_presentation(pd)))
     return 0
 
 

@@ -78,17 +78,6 @@ class Violation(NamedTuple):
     witness: tuple[int, ...]
 
 
-class Profile(NamedTuple):
-    """Row/column fixed-point counts of one element under the three operations."""
-
-    r1: int
-    c1: int
-    r2: int
-    c2: int
-    r3: int
-    c3: int
-
-
 @dataclass(frozen=True)
 class ValidationReport:
     ok: bool
@@ -239,7 +228,8 @@ class FiniteSingquandle:
         return self.gens
 
     def profiles(self) -> np.ndarray:
-        """All six fixed-point counts for every element, shape (n, 6).
+        """All six fixed-point counts for every element, shape (n, 6): the
+        row and the column count of star, then of R1, then of R2.
 
         Column pairs come from one comparison per table: entry (x, y) of
         ``table == arange[:, None]`` says table[x, y] == x, so row sums
@@ -253,10 +243,6 @@ class FiniteSingquandle:
             cols.append(hits.sum(axis=1))
             cols.append(hits.sum(axis=0))
         return np.stack(cols, axis=1)
-
-    def profile(self, x: int) -> Profile:
-        x = self._check_element(x)
-        return Profile(*(int(v) for v in self.profiles()[x]))
 
     def closure(self, seed: Iterable[int]) -> frozenset[int]:
         """Smallest subset containing seed and closed under star, R1, R2."""

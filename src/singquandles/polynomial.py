@@ -61,10 +61,6 @@ class SqPolynomial:
     def sort_key(self) -> tuple:
         return tuple((_grlex(m), c) for m, c in self._terms)
 
-    @property
-    def coefficient_sum(self) -> int:
-        return sum(c for _, c in self._terms)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, SqPolynomial):
             return NotImplemented
@@ -129,17 +125,10 @@ class PhiInvariant:
 
     __slots__ = ("_entries",)
 
-    def __init__(self, polys: Union[Iterable, Mapping[SqPolynomial, int]]):
-        """Accepts a poly -> multiplicity mapping, or an iterable whose items
-        are polynomials (counted once each) or (polynomial, multiplicity)
-        pairs; equal polynomials merge."""
+    def __init__(self, entries: Iterable[tuple[SqPolynomial, int]]):
+        """(polynomial, multiplicity) pairs; equal polynomials merge."""
         counts: dict[SqPolynomial, int] = {}
-        items = polys.items() if isinstance(polys, Mapping) else polys
-        for item in items:
-            if isinstance(item, SqPolynomial):
-                p, m = item, 1
-            else:
-                p, m = item
+        for p, m in entries:
             if not isinstance(p, SqPolynomial):
                 raise TypeError(f"expected SqPolynomial, got {type(p).__name__}")
             counts[p] = counts.get(p, 0) + int(m)
@@ -199,16 +188,3 @@ def _phi_of_closures(profiles: np.ndarray, members: np.ndarray, counts) -> PhiIn
                                        .items()), m)
                          for key, m in zip(keys.tolist(), totals.tolist())])
 
-
-def phi_from_images(q: FiniteSingquandle, images: Iterable[Iterable[int]]) -> PhiInvariant:
-    """Build phi from explicit coloring images; each must be a subsingquandle."""
-    checked = []
-    for i, image in enumerate(images):
-        members = sorted({int(x) for x in image})
-        if not q.is_subsingquandle(members):
-            raise NotASubsingquandleError(f"image #{i} {members} is not a subsingquandle")
-        checked.append(members)
-    padded = np.full((len(checked), max(map(len, checked), default=0)), q.order, dtype=np.int64)
-    for row, members in zip(padded, checked):
-        row[:len(members)] = members
-    return _phi_of_closures(q.profiles(), padded, np.ones(len(checked), dtype=np.int64))

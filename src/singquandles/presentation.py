@@ -37,6 +37,7 @@ colorings and images to images of the same ssqp.  One call of
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -46,7 +47,8 @@ from . import kernels
 from .core import FiniteSingquandle
 from .errors import ParseError, UnboundGeneratorError
 from .polynomial import PhiInvariant, _phi_of_closures
-from .terms import Apply, Gen, Term, eval_rows, generators_of, parse_term, render_term
+from .terms import (_IDENT, _RESERVED, Apply, Gen, Term, eval_rows, generators_of, parse_term,
+                    render_term)
 
 
 @dataclass(frozen=True)
@@ -56,6 +58,10 @@ class SingPresentation:
     name: Optional[str] = field(default=None)
 
     def __post_init__(self):
+        for g in self.generators:  # each must parse back as that generator
+            if not re.fullmatch(_IDENT, g) or g in _RESERVED:
+                raise ParseError(f"{g!r} cannot name a generator: names are identifiers "
+                                 f"other than {' and '.join(_RESERVED)}")
         if len(set(self.generators)) != len(self.generators):
             raise ParseError(f"duplicate generator in {self.generators}")
         declared = set(self.generators)
@@ -226,12 +232,6 @@ def enumerate_homs(pres: SingPresentation, q: FiniteSingquandle) -> list[dict[st
     generator value tuple, each a dict generator -> value.  Every returned
     coloring has been re-checked against every relation."""
     return [dict(zip(pres.generators, row)) for row in _coloring_rows(pres, q).tolist()]
-
-
-def hom_image(q: FiniteSingquandle, hom: dict[str, int]) -> frozenset[int]:
-    """Image of a coloring: the closure of its generator values, which is a
-    subsingquandle by construction."""
-    return q.closure(hom.values())
 
 
 def seed_sets(rows: np.ndarray, n: int):

@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterator, Union
 
-from .errors import TermSyntaxError, UnboundGeneratorError, UnknownOperatorError
+from .errors import TermSyntaxError, UnknownOperatorError
 
 OPS = ("*", "/", "R1", "R2")
 MAX_DEPTH = 300
@@ -80,7 +80,8 @@ def _preorder(term):
 
 Term = Union[Gen, Apply]
 
-_TOKEN_RE = re.compile(r"\s*(?:(?P<ident>[A-Za-z_]\w*)|(?P<sym>[*/(),])|(?P<bad>\S))")
+_IDENT = r"[A-Za-z_]\w*"  # a generator, or R1 and R2 before their arguments
+_TOKEN_RE = re.compile(rf"\s*(?:(?P<ident>{_IDENT})|(?P<sym>[*/(),])|(?P<bad>\S))")
 
 
 def _tokens(text: str) -> Iterator[tuple[str, str, int]]:
@@ -190,15 +191,6 @@ def render_term(term: Term) -> str:
     if isinstance(term.right, Apply) and term.right.op in ("*", "/"):
         right = f"({right})"
     return f"{left}{term.op}{right}"
-
-
-def eval_term(term: Term, q, assignment) -> int:
-    """Evaluate under a generator assignment (name -> element of q), as
-    :func:`eval_rows` on one assignment."""
-    missing = [g for g in generators_of(term) if g not in assignment]
-    if missing:
-        raise UnboundGeneratorError(f"generator {missing[0]!r} is not assigned")
-    return int(eval_rows(term, {"*": q.star, "/": q.bar, "R1": q.r1, "R2": q.r2}, assignment))
 
 
 def eval_rows(term: Term, tables, cols):

@@ -466,6 +466,18 @@ def test_documented_exits(tmp_path, capsys, argv, text, code, message):
     assert message in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("text", ["S[R1,b,c,d] P[c,d,R1,b]\n", "generators: R1, x\nx = x\n"],
+                         ids=["pd-label", "generators-line"])
+def test_an_operator_name_as_a_generator_is_unparseable(tmp_path, capsys, text):
+    # pd2rel would print `c = R1(R1,b)`, which no reader takes back
+    link = tmp_path / "link"
+    link.write_text(text)
+    code, out, err = run(capsys, "color", str(link), "corpus:X-Z4")
+    assert (code, out) == (3, "")
+    assert "error: 'R1' cannot name a generator" in err and "Traceback" not in err
+    assert run(capsys, "pd2rel", str(link))[:2] == (3, "")
+
+
 @pytest.mark.parametrize("command", ["color", "phi"])
 def test_a_frontier_above_the_bound_is_refused_before_it_is_allocated(tmp_path, capsys, command):
     # with no relations the search frees all 9 generators: 8^9 rows of 9
@@ -557,16 +569,20 @@ def test_cli_output_matches_recorded_digest():
     assert not differ, f"{len(differ)} of {len(want)} calls differ, the first: {differ[0]}"
 
 
-@pytest.mark.parametrize("argv, lines_read", [
+@pytest.mark.parametrize("argv, lines_read, unbuffered", [
     # more than a pipe buffer: the write in the call meets the closed pipe
-    (["gen", "affine", "--n", "512", "--t", "3", "--s", "2"], 1),
+    (["gen", "affine", "--n", "512", "--t", "3", "--s", "2"], 1, None),
     # one line, still buffered when the call ends
-    (["validate", "corpus:X-Z4"], 0),
-], ids=["large-output", "buffered-output"])
-def test_a_closed_output_pipe_exits_quietly(argv, lines_read):
-    # stdout buffered, as by default: unbuffered, a write cut short by the
-    # closed pipe returns its partial count and raises nothing
+    (["validate", "corpus:X-Z4"], 0, None),
+    # unbuffered, stdout writes through to the raw file, and a write that the
+    # closed pipe cuts short returns its partial count where buffered it raises
+    (["gen", "affine", "--n", "512", "--t", "3", "--s", "2"], 1, "1"),
+    (["validate", "corpus:X-Z4"], 0, "1"),
+], ids=["large-output", "buffered-output", "large-output-unbuffered", "one-line-unbuffered"])
+def test_a_closed_output_pipe_exits_quietly(argv, lines_read, unbuffered):
     env = {k: v for k, v in _checkout_env().items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
     proc = subprocess.Popen([sys.executable, "-m", "singquandles.cli", *argv],
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
     try:

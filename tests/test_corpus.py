@@ -5,8 +5,10 @@ from singquandles.core import FiniteSingquandle, validate_tables
 from singquandles.diagram import SingularPD, pd_to_presentation
 from singquandles.errors import UnknownIdError
 from singquandles.polynomial import sqp, ssqp
-from singquandles.presentation import SingPresentation, enumerate_homs, hom_image, phi_ssqp
-from singquandles.terms import eval_term, parse_term
+from singquandles.presentation import SingPresentation, enumerate_homs, phi_ssqp
+from singquandles.terms import parse_term
+
+from oracles import eval_tree
 
 SQ_IDS = ("X-Z4", "Y-Z4", "X-Z8-a", "X-Z8-b")
 
@@ -84,8 +86,8 @@ def test_recorded_coloring_tables(link):
     got_rows = set()
     for hom in enumerate_homs(pres, q):
         assignment = tuple(hom[g] for g in pres.generators)
-        extras = tuple(eval_term(t, q, hom) for t in derived)
-        image = tuple(sorted(hom_image(q, hom)))
+        extras = tuple(eval_tree(t, q, hom) for t in derived)
+        image = tuple(sorted(q.closure(hom.values())))
         got_rows.add((assignment, extras, image))
 
     want_rows = {(tuple(r["assignment"]), tuple(r.get("derived", ())), tuple(r["image"]))

@@ -5,7 +5,6 @@ from singquandles.errors import NotASubsingquandleError
 from singquandles.polynomial import (
     PhiInvariant,
     SqPolynomial,
-    phi_from_images,
     quandle_restriction,
     sqp,
     ssqp,
@@ -27,7 +26,7 @@ def test_zero_polynomial():
     p = SqPolynomial([])
     assert not p
     assert p.render() == "0"
-    assert p.coefficient_sum == 0
+    assert sum(c for _, c in p.terms()) == 0
 
 
 def test_render_rules():
@@ -97,7 +96,7 @@ def test_sqp_expected_renders():
 def test_sqp_coefficient_sum_is_order():
     for cid in ("X-Z4", "Y-Z4", "X-Z8-a", "X-Z8-b"):
         q = corpus.load(cid)
-        assert sqp(q).coefficient_sum == q.order
+        assert sum(c for _, c in sqp(q).terms()) == q.order
 
 
 def test_ssqp_uses_ambient_profiles(xz4):
@@ -140,23 +139,6 @@ def test_phi_merges_equal_polynomials():
     p = SqPolynomial({mono(s1=1): 1})
     phi = PhiInvariant([(p, 1), (SqPolynomial({mono(s1=1): 1}), 3)])
     assert phi.entries() == ((p, 4),)
-
-
-def test_phi_from_images(xz4):
-    phi = phi_from_images(xz4, [frozenset([1, 3]), frozenset(range(4)),
-                                frozenset([1, 3])])
-    assert phi.counting() == 3
-    assert dict(phi.entries()) == {ssqp(xz4, [1, 3]): 2, sqp(xz4): 1}
-
-
-def test_phi_from_images_validates(xz8a):
-    with pytest.raises(NotASubsingquandleError, match=r"image #1 \[0, 1\] is not a subsingquandle"):
-        phi_from_images(xz8a, [frozenset(range(8)), frozenset([0, 1])])
-
-
-def test_phi_from_images_checks_once_and_takes_one_profile_table(structure_calls, xz4):
-    phi_from_images(xz4, [frozenset([1, 3]), frozenset(range(4)), frozenset([1, 3])])
-    assert structure_calls == {"profiles": 1, "closure": 3}
 
 
 def test_shift_structure_polynomial():
