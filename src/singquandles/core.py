@@ -28,11 +28,13 @@ preserves R1 (R2), and 3 when 1 and 2 are proved and 3 holds at one element
 of each Inn-orbit, or, for a star with fewer than sqrt(n) distinct columns
 x -> x*y, when the two compositions of such maps that 3 compares at each
 pair (a, c) agree (see :mod:`singquandles.kernels`).  The quandle kernel
-proves once that these maps preserve star and hands them to the singular
-kernel.  Only an identity whose proof fails gets the full scan, which finds
-its witnesses; 4 and 5 are checked on all pairs.  The trivial star a*b == a
-costs n^2.  Many Inn-orbits with many distinct columns still cost n^3: a
-disjoint union of many small quandles with a*b == a across components.
+proves once that these maps preserve star, their Inn-orbits are labelled
+once, and the singular kernel takes both; a structure keeps them as
+``rhos`` for phi and ``orbits`` for the isomorphism search.  Only an
+identity whose proof fails gets the full scan, which finds its witnesses;
+4 and 5 are checked on all pairs.  The trivial star a*b == a costs n^2.
+Many Inn-orbits with many distinct columns still cost n^3: a disjoint
+union of many small quandles with a*b == a across components.
 
 A report shows the first ``MAX_VIOLATIONS`` rows in the order above:
 (i)-(iii), then 1-5, each in witness order.  Each kernel yields its rows
@@ -123,24 +125,25 @@ def check_order(n: int) -> None:
 
 
 def _validate(star, r1, r2, n: int):
-    """Convert and check the tables; returns the report, the converted star,
-    r1 and r2, bar (None when star is not right-invertible) and the
-    generating set of (X, *) that the check went through."""
+    """Convert and check the tables; returns the report and, by field name,
+    the arrays a structure keeps: the converted tables and what the check
+    derived (bar, gens, rhos, orbits), None where a check failed first."""
     check_order(n)
     star = _as_table(star, n, "star")
     r1 = _as_table(r1, n, "R1")
     r2 = _as_table(r2, n, "R2")
 
     gens = kernels.generating_set(star)
-    rows, bar, autos = kernels.quandle_violations(star, MAX_VIOLATIONS, gens)
+    rows, bar, rhos = kernels.quandle_violations(star, MAX_VIOLATIONS, gens)
+    orbits = None if rhos is None else kernels.orbit_labels(np.arange(n)[:, None], rhos, n)
     violations = [Violation(_QUANDLE_AXIOMS[code], witness) for code, witness in _rows(rows)]
     if bar is not None:
         left = MAX_VIOLATIONS - len(violations)
-        for code, witness in _rows(kernels.sing_violations(star, bar, r1, r2, left, autos)):
+        for code, witness in _rows(kernels.sing_violations(star, bar, r1, r2, left, rhos, orbits)):
             violations.append(Violation(_SING_AXIOMS[code], witness))
 
     report = ValidationReport(ok=not violations, order=n, violations=tuple(violations))
-    return report, star, r1, r2, bar, gens
+    return report, dict(star=star, r1=r1, r2=r2, bar=bar, gens=gens, rhos=rhos, orbits=orbits)
 
 
 def validate_tables(star, r1, r2, order: Optional[int] = None) -> ValidationReport:
@@ -159,9 +162,12 @@ class FiniteSingquandle:
     Construction runs the full check of all axioms and raises
     :class:`NotAQuandleError` or :class:`NotASingquandleError`, with the
     report, on failure; ``dataclasses.replace`` builds, so checks, anew.
-    ``bar`` and ``gens``, the generating set of (X, *) that validation went
-    through (see :meth:`generators`), are derived from the tables and are
-    not part of equality or the hash.  All tables are frozen read-only."""
+    Validation's results are kept, not part of equality or the hash:
+    ``bar``; ``gens``, the generating set S of (X, *) it went through,
+    ascending; ``rhos``, one row per map x -> x*s with s in S that moves an
+    element, each an automorphism of the whole structure, so that they
+    generate Inn(X); and ``orbits``, the least element of each element's
+    Inn-orbit.  All arrays are frozen read-only."""
 
     order: int
     star: np.ndarray
@@ -170,6 +176,8 @@ class FiniteSingquandle:
     labels: Sequence[str] = ()
     bar: np.ndarray = field(init=False)
     gens: np.ndarray = field(init=False)
+    rhos: np.ndarray = field(init=False)
+    orbits: np.ndarray = field(init=False)
 
     def __post_init__(self):
         check_order(self.order)  # before n default labels are made
@@ -180,12 +188,12 @@ class FiniteSingquandle:
             if not lab or re.search(r"[\s,#]|^labels:|^(?:star|R1|R2):+$", lab):
                 raise MalformedTableError(f"label {lab!r} is empty, contains whitespace, "
                                           f"',' or '#', or reads as a table file's line head")
-        report, star, r1, r2, bar, gens = _validate(self.star, self.r1, self.r2, self.order)
+        report, arrays = _validate(self.star, self.r1, self.r2, self.order)
         if not report.ok:  # the report lists quandle rows first
             if report.violations[0].axiom in _QUANDLE_AXIOMS.values():
                 raise NotAQuandleError(report)
             raise NotASingquandleError(report)
-        for name, value in (("star", star), ("r1", r1), ("r2", r2), ("bar", bar), ("gens", gens)):
+        for name, value in arrays.items():
             value.setflags(write=False)
             object.__setattr__(self, name, value)
         object.__setattr__(self, "labels", labels)
@@ -218,14 +226,6 @@ class FiniteSingquandle:
         if not 0 <= x < self.order:
             raise IndexError(f"element {x} outside 0..{self.order - 1}")
         return x
-
-    def generators(self) -> np.ndarray:
-        """A generating set S of (X, *), ascending, as validation found it.
-
-        Every x -> x*s with s in S is then an automorphism of the whole
-        structure, and these maps generate Inn(X).
-        """
-        return self.gens
 
     def profiles(self) -> np.ndarray:
         """All six fixed-point counts for every element, shape (n, 6): the
@@ -302,20 +302,20 @@ def find_isomorphism(q1: FiniteSingquandle, q2: FiniteSingquandle) -> Isomorphis
     the search is depth-first over lazy streams, one per level, and no depth
     reaches the recursion limit: the first unmapped s in S goes to each free
     element of q2 with its profile, and :func:`_force` closes or refutes the
-    choice.  The first level takes one target per Inn-orbit of q2, since each
-    x -> x*s is an automorphism of q2 and rho o f is an isomorphism whenever
-    f is.  A complete mapping must pass one comparison of all three tables."""
+    choice.  The first level takes one target per Inn-orbit of q2, the
+    least element of each of ``q2.orbits``, since each of ``q2.rhos`` is an
+    automorphism of q2 and rho o f is an isomorphism whenever f is.  A
+    complete mapping must pass one comparison of all three tables."""
     n = q1.order
     cls = kernels.distinct_rows(np.concatenate([q1.profiles(), q2.profiles()]))[1]
     cls1, cls2 = cls[:n], cls[n:]  # each element's profile, numbered
     if q2.order != n or not np.array_equal(np.sort(cls1), np.sort(cls2)):
         return IsomorphismResult(None, "sqp-mismatch")
 
-    gens = q1.generators()
+    gens = q1.gens
     tables1, tables2 = (q1.star, q1.r1, q1.r2), (q2.star, q2.r1, q2.r2)
     force = partial(_force, tables1, tables2, cls1, cls2)
-    roots = kernels.orbit_labels(np.arange(n)[:, None],
-                                 kernels.moving_rhos(q2.star, q2.generators()), n) == np.arange(n)
+    roots = q2.orbits == np.arange(n)
     empty = np.full(n, -1, dtype=TABLE_DTYPE)
     stack = [iter([(empty, empty)])]
     while stack:

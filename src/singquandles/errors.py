@@ -99,5 +99,5 @@ class EmptySeedError(ValidationError):
     """Closure requested for an empty seed set."""
 
 
-class UnboundGeneratorError(SingquandleError):
-    """Term evaluation hit a generator the assignment does not cover."""
+class UnboundGeneratorError(ParseError):
+    """A presentation's relation uses a generator that it does not declare."""

@@ -30,9 +30,9 @@ distinct maps and the orbits about n/3 for components of order 3.
 
 Each step runs once: :func:`quandle_violations` counts preimages, which
 gives the right-invertibility rows or bar, and proves that the moving rho_s
-preserve star; :func:`sing_violations` takes those maps, or None.  The
-Inn-orbits come from :func:`orbit_labels`, which also groups phi's seed sets
-and gives the isomorphism search one first target per orbit.
+preserve star; :mod:`singquandles.core` labels their Inn-orbits once by
+:func:`orbit_labels` and hands maps and labels to :func:`sing_violations`,
+then keeps both on the structure for phi and the isomorphism search.
 
 A proof decides only whether an identity's scan runs, so the reported rows
 never depend on it.  The scans of the n^3 identities run in slabs over
@@ -249,10 +249,11 @@ def quandle_violations(star: np.ndarray, cap: int, gens):
     return rows, bar, autos
 
 
-def sing_violations(star, bar, r1, r2, cap: int, autos) -> np.ndarray:
+def sing_violations(star, bar, r1, r2, cap: int, autos, orbits) -> np.ndarray:
     """The first cap rows of the five compatibility identities in report
-    order, for bar the right inverse of star and ``autos`` the moving rho_s
-    that :func:`quandle_violations` proved to preserve star, or None.
+    order, for bar the right inverse of star, ``autos`` the moving rho_s
+    that :func:`quandle_violations` proved to preserve star and ``orbits``
+    the elements' :func:`orbit_labels` under them, or both None.
 
     Identities 1, 2 and 3 each get their slab scan unless proved: 1 (2) when
     autos is not None and each of its maps preserves R1 (R2), 3 when 1 and 2
@@ -261,10 +262,10 @@ def sing_violations(star, bar, r1, r2, cap: int, autos) -> np.ndarray:
     and 3 would otherwise read more than one slab.  4 and 5 are checked on
     all pairs.  These steps form the stream of :func:`_sing_rows`, drawn
     until cap rows are in, so no step after the cap runs, proof or scan."""
-    return _first(_sing_rows(star, bar, r1, r2, cap, autos), cap)
+    return _first(_sing_rows(star, bar, r1, r2, cap, autos, orbits), cap)
 
 
-def _sing_rows(star, bar, r1, r2, cap: int, autos):
+def _sing_rows(star, bar, r1, r2, cap: int, autos, orbits):
     """The rows of identities 1-5 in report order, as a stream of arrays of
     at most cap rows each; each proof and scan runs when it is drawn."""
     n = star.shape[0]
@@ -291,9 +292,7 @@ def _sing_rows(star, bar, r1, r2, cap: int, autos):
     # k slabs, one per Inn-orbit once 1 and 2 are proved, else n for the
     # scan; with D^2 < n distinct columns the pair proof costs under 2 n^2,
     # no more than k > 1 slabs
-    reps = idx
-    if proved_1_and_2:
-        reps = np.flatnonzero(orbit_labels(idx[:, None], autos, n) == idx)
+    reps = np.flatnonzero(orbits == idx) if proved_1_and_2 else idx
     columns = _row_ids(star_t, math.isqrt(n - 1)) if len(reps) > 1 else None
     if columns is not None:
         proved = _pairs_hold(star_t, *columns, r1, r2)

@@ -20,7 +20,7 @@ Python integers.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterable, Mapping, Union
+from typing import Iterable
 
 import numpy as np
 
@@ -42,10 +42,9 @@ class SqPolynomial:
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Union[Mapping[Monomial, int], Iterable[tuple[Monomial, int]]]):
-        items = terms.items() if isinstance(terms, Mapping) else terms
+    def __init__(self, terms: Iterable[tuple[Monomial, int]]):
         acc: dict[Monomial, int] = {}
-        for mono, coeff in items:
+        for mono, coeff in terms:
             mono = tuple(int(e) for e in mono)
             if len(mono) != 6 or any(e < 0 for e in mono):
                 raise ValueError(f"monomial must be 6 nonnegative exponents, got {mono}")

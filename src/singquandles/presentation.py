@@ -29,10 +29,11 @@ relation in the term grammar of :mod:`singquandles.terms`.
 phi (:func:`phi_ssqp`) works on arrays of seed sets, a coloring's seed set
 being its set of generator values, which fixes its image.  The colorings
 are grouped by seed set (:func:`seed_sets`), and the seed sets into orbits
-(:func:`kernels.orbit_labels`) under the maps x -> x*s, s in the target's
-generating set: these maps are automorphisms, so they carry colorings to
-colorings and images to images of the same ssqp.  One call of
-:func:`kernels.closures` then closes one seed set per orbit.
+(:func:`kernels.orbit_labels`) under the target's ``rhos``, the moving
+maps x -> x*s with s in its generating set that validation proved to be
+automorphisms, so they carry colorings to colorings and images to images
+of the same ssqp.  One call of :func:`kernels.closures` then closes one
+seed set per orbit.
 """
 
 from __future__ import annotations
@@ -246,17 +247,16 @@ def seed_sets(rows: np.ndarray, n: int):
 def phi_ssqp(pres: SingPresentation, q: FiniteSingquandle) -> PhiInvariant:
     """The multiset of ssqp values over all coloring images.
 
-    Each x -> x*s with s in the generating set of q is an automorphism g,
-    so g o h is a coloring whenever h is, its image is g applied to the
-    image of h, and the ambient profiles, hence ssqp, do not change.  The
-    colorings are therefore grouped by seed set, the seed sets into orbits
-    under the maps that move something, and one batch of closures, one per
-    orbit, goes through :func:`kernels.closures`.  The ambient profiles are
-    taken once per call and one polynomial is built per distinct multiset
-    of profile rows.
+    Each of ``q.rhos`` is an automorphism g, so g o h is a coloring
+    whenever h is, its image is g applied to the image of h, and the
+    ambient profiles, hence ssqp, do not change.  The colorings are
+    therefore grouped by seed set, the seed sets into orbits under these
+    maps, and one batch of closures, one per orbit, goes through
+    :func:`kernels.closures`.  The ambient profiles are taken once per call
+    and one polynomial is built per distinct multiset of profile rows.
     """
     seeds, _, counts = seed_sets(_coloring_rows(pres, q), q.order)
-    label = kernels.orbit_labels(seeds, kernels.moving_rhos(q.star, q.generators()), q.order)
+    label = kernels.orbit_labels(seeds, q.rhos, q.order)
     reps = np.flatnonzero(label == np.arange(len(label)))
     totals = np.zeros(len(label), dtype=np.int64)
     np.add.at(totals, label, counts)

@@ -456,3 +456,32 @@ def read_table_file(text: str) -> FiniteSingquandle:
                 out[perm[i]][perm[j]] = perm[t[i][j]]
         residue[key] = out
     return table_singquandle(n, residue["star"], residue["R1"], residue["R2"])
+
+
+def braid_closure(word: str, strands: int) -> str:
+    """The PD code of the closure of a singular braid on ``strands`` strands.
+
+    word is space-separated letters on the positions i, i+1 (counted from 1
+    on the left): ``s<i>`` for sigma_i, ``S<i>`` for its inverse and
+    ``t<i>`` for the singular crossing tau_i.  With l, r the current labels
+    at those positions and l', r' fresh ones, sigma_i (the right strand
+    over) is P[l, r, l', r'], its inverse (the left strand over)
+    N[r, l, r', l'] and tau_i S[l, r, l', r']; the closure then renames each
+    position's last label to its first.  A strand that no letter touches
+    would be a component with no crossing, which a PD code cannot carry, so
+    such a word is refused."""
+    first = [f"a{p}" for p in range(strands)]
+    labels = list(first)
+    crossings = []
+    for k, letter in enumerate(word.split()):
+        i = int(letter[1:]) - 1
+        l, r, nl, nr = labels[i], labels[i + 1], f"l{k}", f"r{k}"
+        crossings.append({"s": ("P", l, r, nl, nr), "S": ("N", r, l, nr, nl),
+                          "t": ("S", l, r, nl, nr)}[letter[0]])
+        labels[i], labels[i + 1] = nl, nr
+    untouched = [p + 1 for p in range(strands) if labels[p] == first[p]]
+    if untouched:
+        raise ValueError(f"{word!r} touches no crossing on strand(s) {untouched}")
+    rename = dict(zip(labels, first))
+    return " ".join(f"{kind}[{','.join(rename.get(p, p) for p in ports)}]"
+                    for kind, *ports in crossings)

@@ -50,6 +50,12 @@ def _random_tables(rng, n):
     return star, r1, r2
 
 
+def _orbits(autos, n: int):
+    """The elements' Inn-orbit labels under autos, as validation hands them
+    to the singular kernel with autos: None when autos is None."""
+    return None if autos is None else kernels.orbit_labels(np.arange(n)[:, None], autos, n)
+
+
 def _unreached_cap(n: int) -> int:
     """More rows than any table of order n has: n + n^2 + n^3 quandle rows
     and 3 n^3 + 2 n^2 singular ones at most."""
@@ -76,7 +82,9 @@ def _assert_rows_match_oracle(star, r1, r2, caps=(1, 3, 100)) -> bool:
         assert (None if kbar is None else kbar.tolist()) == bar
         if bar is not None:
             left = cap - len(rows)
-            assert kernels.sing_violations(star, kbar, r1, r2, left, autos).tolist() == singular[:left]
+            orbits = _orbits(autos, len(star))
+            sing = kernels.sing_violations(star, kbar, r1, r2, left, autos, orbits)
+            assert sing.tolist() == singular[:left]
     return bar is not None
 
 
@@ -248,7 +256,7 @@ def test_proof_checks_every_orbit_and_right_invertibility():
     r2 = r1[np.arange(4)[None, :], star]  # R2(a, b) = R1(b, a*b)
     _assert_rows_match_oracle(star, r1, r2)
     _, bar, autos = kernels.quandle_violations(star, 100, kernels.generating_set(star))
-    rows = kernels.sing_violations(star, bar, r1, r2, 100, autos)
+    rows = kernels.sing_violations(star, bar, r1, r2, 100, autos, _orbits(autos, 4))
     assert set(rows[:, 0]) == {3} and 0 not in rows[:, 1]
     # not right-invertible, yet the one moving rho_s preserves star: the
     # quandle kernel hands on no maps, as they are not bijections
@@ -396,8 +404,8 @@ def test_union_rows_match_oracle(pair_proofs):
     rng = random.Random(13)
     n = 3 * 6 + 5
     q = union_singquandle([3] * 6 + [5], np.random.default_rng(1).permutation(n))
-    _, _, autos = kernels.quandle_violations(q.star, 100, q.generators())
-    assert len(autos) == len(q.generators()) == 2 * 7  # two per component, all moving
+    _, _, autos = kernels.quandle_violations(q.star, 100, q.gens)
+    assert len(autos) == len(q.gens) == 2 * 7  # two per component, all moving
     assert len(set(element_orbits(q.star.tolist()))) == 7
     assert validate_tables(q.star, q.r1, q.r2).ok
     for _ in range(4):  # random R1 and R2 over the union's star
@@ -420,8 +428,7 @@ def test_orbit_labels_of_union_elements_match_bfs(seed):
     want = element_orbits(q.star.tolist())
     assert len(set(want)) == len(sizes)
     elements = np.arange(n)[:, None]
-    moving = kernels.moving_rhos(q.star, q.generators())
-    assert kernels.orbit_labels(elements, moving, n).tolist() == want
+    assert kernels.orbit_labels(elements, q.rhos, n).tolist() == q.orbits.tolist() == want
     assert kernels.orbit_labels(elements, np.ascontiguousarray(q.star.T), n).tolist() == want
 
 
@@ -547,12 +554,13 @@ def test_violation_cap_bounds_the_total_in_report_order():
     assert np.all(np.diff(every[:, 0]) >= 0) and set(every[:, 0]) == {0, 1, 2}
     q = affine_singquandle(6, 5, 2)
     r1, r2 = np.zeros((6, 6), dtype=np.int64), np.ones((6, 6), dtype=np.int64)
-    _, bar, autos = kernels.quandle_violations(q.star, 100, q.generators())
-    every_sing = kernels.sing_violations(q.star, bar, r1, r2, _unreached_cap(6), autos)
+    _, bar, autos = kernels.quandle_violations(q.star, 100, q.gens)
+    orbits = _orbits(autos, 6)
+    every_sing = kernels.sing_violations(q.star, bar, r1, r2, _unreached_cap(6), autos, orbits)
     assert np.all(np.diff(every_sing[:, 0]) >= 0) and set(every_sing[:, 0]) == {1, 2, 3, 4, 5}
     for cap in (0, 1, 5, 100):
         assert kernels.quandle_violations(star, cap, gens)[0].tolist() == every[:cap].tolist()
-        rows = kernels.sing_violations(q.star, bar, r1, r2, cap, autos)
+        rows = kernels.sing_violations(q.star, bar, r1, r2, cap, autos, orbits)
         assert rows.tolist() == every_sing[:cap].tolist()
 
 
@@ -642,7 +650,7 @@ def test_coloring_search_ends_near_its_result():
 
 def test_derive_bar_of_int16_star_at_order_256(affine256):
     assert affine256.star.dtype == np.int16
-    _, bar, _ = kernels.quandle_violations(affine256.star, 100, affine256.generators())
+    _, bar, _ = kernels.quandle_violations(affine256.star, 100, affine256.gens)
     assert bar.dtype == np.int16
     assert bar.tolist() == bar_by_columns(affine256.star.tolist())
 
@@ -651,7 +659,7 @@ def test_violation_rows_at_order_256_do_not_depend_on_table_dtype(affine256):
     q = affine256
     r1 = q.r1.copy()
     r1[255, 255] = (r1[255, 255] + 1) % 256
-    gens = q.generators()
+    gens = q.gens
     cap = _unreached_cap(256)  # every row, so identity 4's last one is reached
     quandle, bar, autos = kernels.quandle_violations(q.star, cap, gens)
     wide_quandle, wide_bar, wide_autos = kernels.quandle_violations(q.star.astype(np.int64), cap, gens)
@@ -660,8 +668,9 @@ def test_violation_rows_at_order_256_do_not_depend_on_table_dtype(affine256):
     assert autos.tolist() == wide_autos.tolist()
     narrow = [q.star, bar, r1, q.r2]
     wide = [t.astype(np.int64) for t in narrow]
-    rows = kernels.sing_violations(*narrow, cap, autos).tolist()
-    assert rows == kernels.sing_violations(*wide, cap, wide_autos).tolist()
+    orbits = _orbits(autos, 256)
+    rows = kernels.sing_violations(*narrow, cap, autos, orbits).tolist()
+    assert rows == kernels.sing_violations(*wide, cap, wide_autos, orbits).tolist()
     assert [4, 255, 255, -1] in rows
 
 

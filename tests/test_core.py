@@ -4,6 +4,7 @@ import math
 import random
 import sys
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -24,11 +25,13 @@ from singquandles.errors import (
     UnknownLabelError,
 )
 from singquandles.formulas import affine_singquandle
+from singquandles.presentation import phi_ssqp
 
 from oracles import (
     NotRightInvertibleError,
     bar_by_columns,
     brute_isomorphism,
+    element_orbits,
     naive_closure,
     profile_of,
     quandle_ok,
@@ -228,9 +231,12 @@ def test_bar_and_generators_are_derived_not_passed(xz8a):
     init = [f.name for f in dataclasses.fields(FiniteSingquandle) if f.init]
     assert init == ["order", "star", "r1", "r2", "labels"]
     tables = {"star": xz8a.star, "r1": xz8a.r1, "r2": xz8a.r2}
-    for derived in ({"bar": xz8a.bar}, {"gens": xz8a.gens}):
+    for name in ("bar", "gens", "rhos", "orbits"):
+        derived = {name: getattr(xz8a, name)}
         with pytest.raises(TypeError):
             FiniteSingquandle(order=8, **tables, **derived)
+        with pytest.raises(ValueError, match="init=False"):
+            dataclasses.replace(xz8a, **derived)
     with pytest.raises(TypeError):  # the field order before bar was derived
         FiniteSingquandle(8, xz8a.star, xz8a.bar, xz8a.r1, xz8a.r2)
 
@@ -357,7 +363,8 @@ def test_direct_construction_agrees_with_validated_whatever_the_dtype(xz8a, dtyp
     assert hash(d) == hash(xz8a)
     assert len({d, xz8a}) == 1
     assert d.star.dtype == np.int16
-    assert np.array_equal(d.bar, xz8a.bar) and np.array_equal(d.generators(), xz8a.generators())
+    for name in ("bar", "gens", "rhos", "orbits"):
+        assert np.array_equal(getattr(d, name), getattr(xz8a, name))
 
 
 def test_iso_identity_and_relabel(xz4):
@@ -558,9 +565,38 @@ def test_build_takes_one_generating_set(monkeypatch, xz8a):
     assert q == xz8a
     assert len(calls) == 1
     # the structure keeps the set validation took, not a second one
-    assert q.generators() is calls[0]
+    assert q.gens is calls[0]
     q.profiles(), q.closure([0]), q.relabel(range(8))
     assert len(calls) == 2  # the relabelled copy is one more build
+
+
+@pytest.mark.parametrize("name", ["X-Z8-a", "trivial(16)", "affine(48,47,2)"])
+def test_each_derivation_runs_once(monkeypatch, name):
+    # a build derives S, the moving rho_s and the Inn-orbits once each;
+    # phi labels only its seed sets, and iso derives nothing
+    q = BUILT[name]() if name in BUILT else corpus.load(name)
+    link = corpus.load("1_1l")
+    names = ("generating_set", "moving_rhos", "orbit_labels")
+    calls = Counter()
+
+    def counting(fn, orig):
+        def wrapper(*args):
+            calls[fn] += 1
+            return orig(*args)
+        return wrapper
+
+    for fn in names:
+        monkeypatch.setattr(kernels, fn, counting(fn, getattr(kernels, fn)))
+
+    def counted(run):
+        calls.clear()
+        run()
+        return tuple(calls[fn] for fn in names)
+
+    other = q.relabel(np.roll(np.arange(q.order), 1))
+    assert counted(lambda: table_singquandle(q.order, q.star, q.r1, q.r2)) == (1, 1, 1)
+    assert counted(lambda: phi_ssqp(link, q)) == (0, 0, 1)
+    assert counted(lambda: find_isomorphism(q, other)) == (0, 0, 0)
 
 
 BUILT = {
@@ -574,17 +610,30 @@ BUILT = {
 @pytest.mark.parametrize("name", ALL_SQ + tuple(BUILT))
 def test_generators_generate_the_star(name):
     q = BUILT[name]() if name in BUILT else corpus.load(name)
-    gens = q.generators().tolist()
+    gens = q.gens.tolist()
     assert gens == sorted(set(gens))
     assert star_closure(q.star.tolist(), gens) == set(range(q.order))
     with pytest.raises(ValueError):
-        q.generators()[0] = 1
+        q.gens[0] = 1
+
+
+@pytest.mark.parametrize("name", ALL_SQ + tuple(BUILT))
+def test_rhos_are_the_moving_automorphisms_and_orbits_their_inn_orbits(name):
+    q = BUILT[name]() if name in BUILT else corpus.load(name)
+    idx = np.arange(q.order)
+    moving = [q.star[:, s].tolist() for s in q.gens if (q.star[:, s] != idx).any()]
+    assert q.rhos.tolist() == moving and q.rhos.shape == (len(moving), q.order)
+    for rho in q.rhos:
+        for t in (q.star, q.r1, q.r2):
+            assert np.array_equal(t[rho[:, None], rho], rho[t])
+    assert q.orbits.tolist() == element_orbits(q.star.tolist())
+    assert not q.rhos.flags.writeable and not q.orbits.flags.writeable
 
 
 def test_generators_of_relabelled_copies(xz8a):
     perm = [3, 0, 7, 5, 1, 6, 2, 4]
     other = xz8a.relabel(perm)
-    assert star_closure(other.star.tolist(), other.generators().tolist()) == set(range(8))
+    assert star_closure(other.star.tolist(), other.gens.tolist()) == set(range(8))
     assert other.relabel(np.argsort(perm)) == xz8a
 
 

@@ -1,10 +1,16 @@
+import math
+import random
+
 import pytest
 
 from singquandles import corpus
 from singquandles.diagram import Crossing, parse_pd, pd_to_presentation, render_pd
-from singquandles.errors import DanglingArcError, DuplicatePortError, ParseError
+from singquandles.errors import (DanglingArcError, DuplicatePortError, NotASingquandleError,
+                                 ParseError)
 from singquandles.formulas import affine_singquandle
 from singquandles.presentation import enumerate_homs, phi_ssqp
+
+from oracles import braid_closure
 
 PD_IDS = ("1_1l-pd", "6_11l-pd", "K1-pd", "K2-pd")
 
@@ -109,3 +115,88 @@ def test_pd_paths_match_presentations():
             homs_hand = enumerate_homs(pres_hand, q)
             assert len(homs_pd) == len(homs_hand)
             assert phi_ssqp(pres_pd, q) == phi_ssqp(pres_hand, q)
+
+
+# Both sides of the relations of the singular braid monoid (Fenn, Keyman
+# and Rourke, JKTR 1998), as (lhs, rhs, strands), in the letters of
+# oracles.braid_closure: s<i> is sigma_i, S<i> its inverse, t<i> tau_i.
+BRAID_RELATIONS = {
+    "tau-commutes-with-sigma": [("t1 s1", "s1 t1", 2), ("t1 S1", "S1 t1", 2)],
+    "sigma-sigma-tau": [("s1 s2 t1", "t2 s1 s2", 3), ("s2 s1 t2", "t1 s2 s1", 3)],
+    "inverse": [("s1 S1", "", 2), ("S2 s2", "", 3)],
+    "braid": [("s1 s2 s1", "s2 s1 s2", 3), ("S1 S2 S1", "S2 S1 S2", 3)],
+    "far-commutation": [("s1 s3", "s3 s1", 4), ("t1 S3", "S3 t1", 4), ("t1 t3", "t3 t1", 4)],
+}
+
+
+def _random_word(rng, strands: int, extra: int) -> list[str]:
+    """Random letters, one on each pair of neighbouring positions and extra
+    more anywhere, shuffled: the word touches every strand, as a closure
+    must (see oracles.braid_closure)."""
+    letters = [f"{rng.choice('sSt')}{i}" for i in range(1, strands)]
+    letters += [f"{rng.choice('sSt')}{rng.randrange(1, strands)}" for _ in range(extra)]
+    rng.shuffle(letters)
+    return letters
+
+
+def _braid_moves() -> dict[str, list[tuple[str, int, str, int]]]:
+    """Pairs (word, strands, word, strands) whose closures are isotopic:
+    each relation inside two seeded random contexts, so that its sides
+    differ only there; conjugation, w v against v w; and stabilisation by
+    sigma_k^(+-1), w on k strands against w s_k or w S_k on k + 1."""
+    rng = random.Random(6)
+    moves = {}
+    for name, relations in BRAID_RELATIONS.items():
+        moves[name] = []
+        for lhs, rhs, strands in relations:
+            for _ in range(2):
+                context = _random_word(rng, strands, 2)
+                cut = rng.randrange(len(context) + 1)
+                pre, post = " ".join(context[:cut]), " ".join(context[cut:])
+                moves[name].append((f"{pre} {lhs} {post}", strands, f"{pre} {rhs} {post}", strands))
+    moves["conjugation"] = []
+    for strands in (2, 3):
+        w, v = " ".join(_random_word(rng, strands, 1)), " ".join(_random_word(rng, strands, 1))
+        moves["conjugation"].append((f"{w} {v}", strands, f"{v} {w}", strands))
+    moves["stabilisation"] = []
+    for strands in (2, 3):
+        w = " ".join(_random_word(rng, strands, 2))
+        for letter in ("s", "S"):
+            moves["stabilisation"].append((w, strands, f"{w} {letter}{strands}", strands + 1))
+    return moves
+
+
+BRAID_MOVES = _braid_moves()
+
+
+@pytest.fixture(scope="module")
+def braid_targets():
+    """The corpus structures and the 48 valid affine(n, t, s), 2 <= n <= 6."""
+    targets = [corpus.load(cid) for cid in ("X-Z4", "Y-Z4", "X-Z8-a", "X-Z8-b")]
+    for n in range(2, 7):
+        for t in (t for t in range(1, n) if math.gcd(t, n) == 1):
+            for s in range(n):
+                try:
+                    targets.append(affine_singquandle(n, t, s))
+                except NotASingquandleError:
+                    pass
+    assert len(targets) == 52
+    return targets
+
+
+@pytest.mark.parametrize("move", sorted(BRAID_MOVES))
+def test_phi_is_unchanged_by_singular_braid_moves(move, braid_targets):
+    """Closures of braids that differ by a relation of the singular braid
+    monoid or by a singular Markov move (Gemein, JKTR 1997) are isotopic,
+    so phi must agree on them over every target.  This pins the S-port
+    convention of diagram.py: reading the singular crossing's incoming pair
+    as (b, a), c = R1(b, a) and d = R2(b, a), makes 3 of these 28 pairs
+    differ, in the tau-commutes-with-sigma and sigma-sigma-tau moves.  Every word touches every strand: sigma_2 sigma_2^-1 tau_1
+    tau_1 against tau_1 tau_1 on 3 strands counts 32 against 8 colorings
+    over X-Z4, as the second word's PD code drops the untouched strand."""
+    for left, k, right, m in BRAID_MOVES[move]:
+        presentations = [pd_to_presentation(parse_pd(braid_closure(w, strands)))
+                         for w, strands in ((left, k), (right, m))]
+        for q in braid_targets:
+            phis = [phi_ssqp(pres, q) for pres in presentations]
+            assert phis[0] == phis[1], (left, right, q, phis)
