@@ -25,16 +25,15 @@ Validation counts preimages once, which decides (ii) and gives bar, takes
 a generating set S of (X, *) and proves each n^3 identity on its own:
 (iii) when each x -> x*s with s in S preserves star, 1 (2) when each also
 preserves R1 (R2), and 3 when 1 and 2 are proved and 3 holds at one element
-of each Inn-orbit, or, for a star with fewer than sqrt(n) distinct columns
-x -> x*y, when the two compositions of such maps that 3 compares at each
-pair (a, c) agree (see :mod:`singquandles.kernels`).  The quandle kernel
+of each Inn-orbit, or at once when no such map moves, since every x -> x*y
+is then the identity (see :mod:`singquandles.kernels`).  The quandle kernel
 proves once that these maps preserve star, their Inn-orbits are labelled
 once, and the singular kernel takes both; a structure keeps them as
 ``rhos`` for phi and ``orbits`` for the isomorphism search.  Only an
 identity whose proof fails gets the full scan, which finds its witnesses;
 4 and 5 are checked on all pairs.  The trivial star a*b == a costs n^2.
-Many Inn-orbits with many distinct columns still cost n^3: a disjoint
-union of many small quandles with a*b == a across components.
+Many Inn-orbits with some moving map still cost n^3: a disjoint union of
+many small quandles with a*b == a across components.
 
 A report shows the first ``MAX_VIOLATIONS`` rows in the order above:
 (i)-(iii), then 1-5, each in witness order.  Each kernel yields its rows
@@ -146,10 +145,11 @@ def _validate(star, r1, r2, n: int):
     return report, dict(star=star, r1=r1, r2=r2, bar=bar, gens=gens, rhos=rhos, orbits=orbits)
 
 
-def validate_tables(star, r1, r2, order: Optional[int] = None) -> ValidationReport:
-    """Exact check of all axioms; reports the first MAX_VIOLATIONS violations."""
+def validate_tables(star, r1, r2) -> ValidationReport:
+    """Exact check of all axioms; reports the first MAX_VIOLATIONS violations.
+    The order is ``len(star)``."""
     try:
-        n = order if order is not None else len(star)
+        n = len(star)
     except TypeError:
         raise MalformedTableError(f"star table has no rows: {type(star).__name__}") from None
     return _validate(star, r1, r2, n)[0]

@@ -3,15 +3,13 @@
 Ids are the data file stems under the versioned directory ``v1``:
 singquandles ``X-Z4``, ``Y-Z4``, ``X-Z8-a``, ``X-Z8-b``; presentations
 ``1_1l``, ``1_1l-2gen``, ``6_11l``, ``K1``, ``K2``; PD codes ``<link>-pd``.
-A few alias spellings (``link-1_1l-presentation``, ``K2-presentation``)
-resolve to the same entries.  ``expected()`` returns the recorded
-invariant values used by the acceptance suite.
+``expected()`` returns the recorded invariant values used by the
+acceptance suite.
 """
 
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -50,41 +48,25 @@ def ids() -> tuple[str, ...]:
     return tuple(_index())
 
 
-def _resolve(corpus_id: str) -> str:
-    index = _index()
-    if corpus_id in index:
-        return corpus_id
-    m = re.fullmatch(r"(?:link-)?(.+)-presentation", corpus_id)
-    if m and m.group(1) in index and index[m.group(1)].kind == "presentation":
-        return m.group(1)
-    m = re.fullmatch(r"link-(.+-pd)", corpus_id)
-    if m and m.group(1) in index:
-        return m.group(1)
-    raise UnknownIdError(f"unknown corpus id {corpus_id!r}; available: {', '.join(ids())}")
-
-
 def entry(corpus_id: str) -> CorpusEntry:
-    return _index()[_resolve(corpus_id)]
+    try:
+        return _index()[corpus_id]
+    except KeyError:
+        raise UnknownIdError(
+            f"unknown corpus id {corpus_id!r}; available: {', '.join(ids())}") from None
 
 
 @lru_cache(maxsize=None)
-def _load_canonical(canonical_id: str) -> Loaded:
-    e = _index()[canonical_id]
+def load(corpus_id: str) -> Loaded:
+    """Parse (and for singquandles, validate) the corpus entry.  Repeated
+    loads hand back the same object."""
+    e = entry(corpus_id)
     if e.kind == "singquandle":
         return load_singquandle(e.path)
     text = e.path.read_text(encoding="utf-8")
     if e.kind == "presentation":
         return parse_presentation(text)
     return parse_pd(text)
-
-
-def load(corpus_id: str) -> Loaded:
-    """Parse (and for singquandles, validate) the corpus entry.
-
-    Aliases share the canonical entry's cache slot, so repeated loads hand
-    back the same object.
-    """
-    return _load_canonical(_resolve(corpus_id))
 
 
 @lru_cache(maxsize=1)

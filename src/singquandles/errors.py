@@ -95,9 +95,5 @@ class NotASubsingquandleError(ValidationError):
     """Subset that is empty or not closed under the three operations."""
 
 
-class EmptySeedError(ValidationError):
-    """Closure requested for an empty seed set."""
-
-
 class UnboundGeneratorError(ParseError):
     """A presentation's relation uses a generator that it does not declare."""

@@ -54,8 +54,9 @@ _HEADER_RE = re.compile(r"^(singquandle|singquandle-formula)\s+n\s*=\s*(\d+)\s*$
 # of that order peaks at 800 MB, mostly the int64 formula tables.  A
 # larger header fails as a ParseError before any table is allocated.  The
 # limit bounds memory, not time: validation is O(n^2) per generator and
-# per Inn-orbit, and O(n^2) in all for a star with few distinct columns such
-# as the trivial one, but n^3 for a star with many of both (kernels).
+# per Inn-orbit, and O(n^2) in all for the trivial star, whose maps
+# x -> x*y are all the identity, but n^3 for a star with many Inn-orbits
+# and some map that moves (kernels).
 MAX_ORDER = 4096
 
 

@@ -14,19 +14,14 @@ checking the moving rho_s for s in S proves axiom (iii), and identity 1
 or 2, for every element.  Idempotence is not used.  Once star, R1 and R2
 are all preserved, identity 3 is invariant under the diagonal action of
 Inn(X), which the rho_s generate, so one n x n slab per Inn-orbit proves
-it.  A second proof of identity 3 needs neither 1 nor 2: for fixed (a, c)
-both of its sides are bijections of b, so it holds for all b exactly when
-rho_c rho_a = rho_{R2(a,c)} rho_{R1(a,c)}.  With D distinct columns that
-is one comparison of ids of the D^2 compositions on all n^2 pairs, O(D^2 n
-+ n^2); it is taken when D^2 < n and the slabs would number k > 1 (k = n
-when 1 or 2 is unproved), so the columns are hashed only until D passes
-sqrt(n).  The trivial star x*y = x, with D = 1 and n orbits, thus costs
-O(n^2).  Identities 4 and 5 are n^2 checks.  :func:`generating_set` finds
-S greedily, after taking in one batch every element whose column is the
-identity map.  The worst case stays n^3: a star with many Inn-orbits and
-many distinct columns, such as a disjoint union of many small non-trivial
-quandles with x*y = x across components, where the columns are about n
-distinct maps and the orbits about n/3 for components of order 3.
+it.  When no rho_s moves, the same closure makes every rho_x the
+identity: this is the trivial star x*y = x, where identities 1-3 hold
+outright, so it reads no slab of them.  Identities 4 and 5 are n^2
+checks.  :func:`generating_set` finds S greedily, after taking in one
+batch every element whose column is the identity map.  The worst case
+stays n^3: a star with many Inn-orbits and some moving rho_s, such as a
+disjoint union of many small non-trivial quandles with x*y = x across
+components, with about n/3 orbits for components of order 3.
 
 Each step runs once: :func:`quandle_violations` counts preimages, which
 gives the right-invertibility rows or bar, and proves that the moving rho_s
@@ -88,11 +83,9 @@ key of the generator columns.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .errors import EmptySeedError, FrontierTooLargeError
+from .errors import FrontierTooLargeError
 from .terms import eval_rows
 
 __all__ = [
@@ -257,9 +250,7 @@ def sing_violations(star, bar, r1, r2, cap: int, autos, orbits) -> np.ndarray:
 
     Identities 1, 2 and 3 each get their slab scan unless proved: 1 (2) when
     autos is not None and each of its maps preserves R1 (R2), 3 when 1 and 2
-    are and it holds at one element per Inn-orbit, or by the pair proof of
-    :func:`_pairs_hold` when star has fewer than sqrt(n) distinct columns
-    and 3 would otherwise read more than one slab.  4 and 5 are checked on
+    are and it holds at one element per Inn-orbit.  4 and 5 are checked on
     all pairs.  These steps form the stream of :func:`_sing_rows`, drawn
     until cap rows are in, so no step after the cap runs, proof or scan."""
     return _first(_sing_rows(star, bar, r1, r2, cap, autos, orbits), cap)
@@ -267,7 +258,10 @@ def sing_violations(star, bar, r1, r2, cap: int, autos, orbits) -> np.ndarray:
 
 def _sing_rows(star, bar, r1, r2, cap: int, autos, orbits):
     """The rows of identities 1-5 in report order, as a stream of arrays of
-    at most cap rows each; each proof and scan runs when it is drawn."""
+    at most cap rows each; each proof and scan runs when it is drawn.  When
+    autos holds no map, 1, 2 and 3 are proved with no slab read: S
+    generates X under *, so every rho_x is the identity, x*y = x = x/y, and
+    both sides of 1, 2 and 3 read R1(a,c), R2(a,c) and b."""
     n = star.shape[0]
     idx = np.arange(n, dtype=np.int64)
     star_t = np.ascontiguousarray(star.T)  # star_t[b, c] = c*b
@@ -284,20 +278,13 @@ def _sing_rows(star, bar, r1, r2, cap: int, autos, orbits):
         return (star_t[a].take(bar.take(r1[a], axis=1)),
                 bar_t.ravel().take(star.take(r2[a], axis=1) + row_b.T))
 
-    proved_1_and_2 = True
+    proved = True  # 1 and 2 so far, then 3
     for code, table, block in ((1, r1, one), (2, r2, two)):
         if not (autos is not None and _preserved(autos, table)):
-            proved_1_and_2 = False
+            proved = False
             yield from _slab_rows(code, range(n), cap, block)
-    # k slabs, one per Inn-orbit once 1 and 2 are proved, else n for the
-    # scan; with D^2 < n distinct columns the pair proof costs under 2 n^2,
-    # no more than k > 1 slabs
-    reps = np.flatnonzero(orbits == idx) if proved_1_and_2 else idx
-    columns = _row_ids(star_t, math.isqrt(n - 1)) if len(reps) > 1 else None
-    if columns is not None:
-        proved = _pairs_hold(star_t, *columns, r1, r2)
-    else:
-        proved = proved_1_and_2 and next(_slab_rows(3, reps, 1, three), None) is None
+    if proved and len(autos):
+        proved = next(_slab_rows(3, np.flatnonzero(orbits == idx), 1, three), None) is None
     if not proved:
         yield from _slab_rows(3, range(n), cap, three)
 
@@ -311,50 +298,6 @@ def _sing_rows(star, bar, r1, r2, cap: int, autos, orbits):
     pair = np.multiply(r1, n, dtype=np.int64)
     pair += r2             # pair[a, b] indexes cell (R1(a,b), R2(a,b))
     yield _pack(5, *np.divmod(np.flatnonzero(star.ravel().take(pair) != rhs)[:cap], n))
-
-
-def _row_ids(rows: np.ndarray, most: int):
-    """int32 ids of the rows of a 2-d array, equal rows sharing one, numbered
-    in order of first appearance, and the index of each id's first row; None
-    as soon as more than most rows are distinct, so no later row is hashed.
-    A dict of row bytes does the work of ``np.unique(axis=0)``, which imports
-    ``numpy.ma``."""
-    ids = np.empty(len(rows), dtype=np.int32)
-    seen: dict[bytes, int] = {}
-    firsts = []
-    for i, row in enumerate(rows):
-        key = row.tobytes()
-        if key not in seen:
-            if len(firsts) == most:
-                return None
-            seen[key] = len(firsts)
-            firsts.append(i)
-        ids[i] = seen[key]
-    return ids, np.array(firsts)
-
-
-def _pairs_hold(star_t, cols, firsts, r1, r2) -> bool:
-    """Whether identity 3 holds at every (a, b, c), for a right-invertible
-    star whose columns rho_x are the rows of star_t, cols[x] the id of rho_x
-    and firsts[i] a column with id i.  For fixed (a, c) both sides of 3 are
-    bijections of b, and they agree for all b exactly when
-    rho_c rho_a == rho_{R2(a,c)} rho_{R1(a,c)}.  Each of the D^2
-    compositions of distinct columns gets an id, compared on all n^2 pairs
-    (a, c): O(D^2 n + n^2), and the compositions fit in one n x n block
-    when D^2 < n."""
-    d = len(firsts)
-    rhos = star_t[firsts]
-    # ids[j*d + i] is the id of rho_j rho_i, x -> (x * firsts[i]) * firsts[j]
-    ids, _ = _row_ids(rhos[:, rhos].reshape(d * d, -1), d * d)
-    # fancy indexing casts int16 and int32 indices in buffered chunks, where
-    # ``take`` would first copy them whole to int64
-    key = cols[r2]
-    key *= d
-    key += cols[r1]
-    rhs = ids[key]
-    del key
-    lhs = ids.reshape(d, d).T[cols].take(cols, axis=1)  # lhs[a, c] = ids[cols[c]*d + cols[a]]
-    return np.array_equal(lhs, rhs)
 
 
 def _share(cols: dict, fn) -> dict:
@@ -579,7 +522,8 @@ def closures(tables, seeds: np.ndarray, n: int) -> np.ndarray:
     """The closures of the seed sets under the operations whose n x n tables
     are given.  seeds is an (m, K) int array, one seed set per row, of
     distinct ascending members padded on the right with n; the closures come
-    back in the same form and order, as wide as the largest of them.
+    back in the same form and order, as wide as the largest of them.  An
+    empty seed set is its own closure.
 
     Each round marks every member and every product of two members of each
     growing row in an (rows, n) boolean block.  A row whose count did not
@@ -592,11 +536,12 @@ def closures(tables, seeds: np.ndarray, n: int) -> np.ndarray:
     seeds = np.asarray(seeds, dtype=np.int64)
     if not len(seeds):
         return np.empty((0, 0), dtype=np.int64)
-    if seeds.shape[1] == 0 or (seeds[:, 0] >= n).any():
-        raise EmptySeedError("closure needs a nonempty seed")
-    closed = []  # (ids, rows, sizes) of the rows that left
-    ids, rows = np.arange(len(seeds)), seeds
-    sizes = np.count_nonzero(rows < n, axis=1)
+    sizes = np.count_nonzero(seeds < n, axis=1)
+    # (ids, rows, sizes) of the rows that left; an empty seed set is closed
+    # and leaves before any gather, as _members would read its padding
+    empty = sizes == 0
+    closed = [(np.flatnonzero(empty), seeds[empty], sizes[empty])]
+    ids, rows, sizes = np.flatnonzero(~empty), seeds[~empty], sizes[~empty]
     while len(ids):
         k = rows.shape[1]
         step = max(1, CLOSURE_BLOCK // max(3 * k * k, n))

@@ -172,19 +172,6 @@ def scanned(monkeypatch):
     return slabs
 
 
-@pytest.fixture
-def pair_proofs(monkeypatch):
-    """The verdict of each run of identity 3's pair proof, in call order."""
-    verdicts = []
-    pairs_hold = kernels._pairs_hold
-
-    def recording(*args):
-        verdicts.append(pairs_hold(*args))
-        return verdicts[-1]
-    monkeypatch.setattr(kernels, "_pairs_hold", recording)
-    return verdicts
-
-
 @pytest.mark.parametrize("n, t, s", [(8, 3, 2), (9, 2, 4), (12, 5, 1)])
 def test_each_identity_is_proved_on_its_own(scanned, n, t, s):
     # R1 = R2 = star breaks identities 4 and 5, but every rho_s preserves
@@ -224,8 +211,7 @@ def test_a_budget_spent_by_idempotence_starts_no_proof_or_scan(monkeypatch):
     n = 128
     star = np.repeat((np.arange(n)[:, None] + 1) % n, n, axis=1)
     called = []
-    for name in ("moving_rhos", "_preserved", "_slab_rows", "_row_ids", "_pairs_hold",
-                 "orbit_labels"):
+    for name in ("moving_rhos", "_preserved", "_slab_rows", "orbit_labels"):
         def recording(*args, name=name, fn=getattr(kernels, name)):
             called.append(name)
             return fn(*args)
@@ -275,16 +261,36 @@ def test_proof_matches_oracle_on_shift_structures():
             _assert_rows_match_oracle(q.star, q.r1, q.r2)
 
 
-def test_pair_proof_matches_oracle_over_the_trivial_star(pair_proofs):
+def test_trivial_star_rows_match_oracle_and_read_no_slab(scanned):
     # every rho is the identity, so identities 1-3 hold whatever R1 and R2
-    # are, and only 4 and 5 have rows
+    # are, and only 4 and 5 have rows; no slab of any identity is read
     rng = np.random.default_rng(23)
     for n in range(2, 9):
         star = np.repeat(np.arange(n)[:, None], n, axis=1)
         for _ in range(4):
             r1, r2 = rng.integers(n, size=(2, n, n))
             _assert_rows_match_oracle(star, r1, r2)
-    assert pair_proofs and all(pair_proofs)
+    assert scanned == {}
+
+
+def test_no_rho_moves_exactly_for_the_trivial_star():
+    # the quandle kernel hands on an empty list of maps, which proves
+    # identities 1-3 outright, only for x*y = x: over all 216 stars of order
+    # 3 whose columns are permutations, the corpus stars and the affine
+    # stars of order up to 8, the trivial ones among them being t = 1
+    stars = [np.array(cols).T for cols in
+             itertools.product(itertools.permutations(range(3)), repeat=3)]
+    assert len(stars) == 216
+    stars += [corpus.load(cid).star for cid in ("X-Z4", "Y-Z4", "X-Z8-a", "X-Z8-b")]
+    stars += [affine_singquandle(n, t, 0).star for n in range(1, 9)
+              for t in range(1, max(n, 2)) if np.gcd(t, n) == 1]
+    trivial = 0
+    for star in stars:
+        autos = kernels.quandle_violations(star, 100, kernels.generating_set(star))[2]
+        identity = bool(np.all(star == np.arange(len(star))[:, None]))
+        assert (autos is not None and len(autos) == 0) == identity
+        trivial += identity
+    assert trivial == 1 + 8
 
 
 def _swap_star(n: int, moving) -> np.ndarray:
@@ -298,12 +304,11 @@ def _swap_star(n: int, moving) -> np.ndarray:
     return star
 
 
-def test_pair_proof_matches_oracle_on_swap_stars(scanned, pair_proofs):
-    # D^2 < n and k > 1, so identity 3 goes to the pair proof.  R1 is drawn
-    # among the tables that the swap preserves, which is identity 1, and R2
-    # is forced by identity 4; the draws that pass identities 2 and 5 too but
-    # fail 3 are kept, some of them at a = 1, which is not the least element
-    # of its orbit {0, 1}
+def test_swap_star_rows_match_oracle(scanned):
+    # R1 is drawn among the tables that the swap preserves, which is
+    # identity 1, and R2 is forced by identity 4; the draws that pass
+    # identities 2 and 5 too but fail 3 are kept, some of them at a = 1,
+    # which is not the least element of its orbit {0, 1}
     rng = np.random.default_rng(17)
     kept = off_least = 0
     for n in (5, 6):
@@ -320,32 +325,30 @@ def test_pair_proof_matches_oracle_on_swap_stars(scanned, pair_proofs):
             rows = violation_rows(star, bar_by_columns(star), r1, r2)[1]
             if {row[0] for row in rows} != {3}:
                 continue
-            pair_proofs.clear()
             _assert_rows_match_oracle(star, r1, r2)
-            assert pair_proofs and not any(pair_proofs)
             kept += 1
             off_least += any(row[1] == 1 for row in rows)
     assert kept >= 10 and off_least >= 5
-    # with R1(x, y) = y and R2(x, y) = x*y all five identities hold, and the
-    # pair proof reads no slab
+    # with R1(x, y) = y and R2(x, y) = x*y all five identities hold, and
+    # identity 3 is proved by one slab per Inn-orbit
     star = _swap_star(9, [3, 8])
     scanned.clear()
-    pair_proofs.clear()
     assert validate_tables(star, np.repeat(np.arange(9)[None, :], 9, axis=0), star).ok
-    assert pair_proofs == [True] and scanned == {}
+    assert scanned == {3: 8}
 
 
-def test_pair_proof_matches_oracle_with_columns_that_do_not_commute(pair_proofs):
+def test_rows_match_oracle_with_columns_that_do_not_commute(scanned):
     # affine(5, 2) on 0..4 beside 32 elements with trivial columns, x*y = x
-    # across: D = 6 distinct columns, five of order 4 that pairwise do not
-    # commute, and k = 33.  R1(x, y) = y and R2(x, y) = x*y satisfy the five
-    # identities over any quandle; the pair proof must say so, and the rows
-    # must match after one changed cell of star, R1 or R2
+    # across: 6 distinct columns, five of order 4 that pairwise do not
+    # commute, and 33 Inn-orbits.  R1(x, y) = y and R2(x, y) = x*y satisfy
+    # the five identities over any quandle; the proof must say so with one
+    # slab per orbit, and the rows must match after one changed cell of
+    # star, R1 or R2
     n, idx, five = 37, np.arange(37), np.arange(5)
     star = np.repeat(idx[:, None], n, axis=1)
     star[:5, :5] = (2 * five[:, None] - five) % 5
     r1 = np.repeat(idx[None, :], n, axis=0)
-    assert validate_tables(star, r1, star).ok and pair_proofs == [True]
+    assert validate_tables(star, r1, star).ok and scanned == {3: 33}
     rng = random.Random(31)
     for which in range(3):
         for _ in range(2):
@@ -355,31 +358,29 @@ def test_pair_proof_matches_oracle_with_columns_that_do_not_commute(pair_proofs)
             _assert_rows_match_oracle(*tables, caps=(100,))
 
 
-def test_identity_3_proof_is_chosen_by_columns_and_orbits(scanned, pair_proofs):
-    # the trivial star has one distinct column and n orbits: the pair proof
-    # reads no slab.  affine(256,3,2) has 2 orbits and n/2 distinct columns:
-    # one slab per orbit
+def test_identity_3_proof_is_chosen_by_columns_and_orbits(scanned):
+    # every column of the trivial star is the identity map: no slab is
+    # read.  affine(256,3,2) has 2 orbits: one slab per orbit
     shift_singquandle(256, 1)
-    assert pair_proofs == [True] and scanned == {}
-    pair_proofs.clear()
+    assert scanned == {}
     affine_singquandle(256, 3, 2)
-    assert pair_proofs == [] and scanned == {3: 2}
-    # the pair proof needs neither identity 1 nor 2: over a swap star,
-    # R1(a, c) = f(a) with f(1) = 0 breaks identity 1 but keeps 3
+    assert scanned == {3: 2}
+    # without identity 1 there is no proof of 3: over a swap star,
+    # R1(a, c) = f(a) with f(1) = 0 breaks identity 1 but keeps 3, which
+    # its scan then reads in full
     star = _swap_star(9, [4, 6])
     f = np.array([0, 0, *range(2, 9)])
     r1, r2 = np.repeat(f[:, None], 9, axis=1), np.repeat(np.arange(9)[None, :], 9, axis=0)
-    pair_proofs.clear()
     scanned.clear()
     axioms = {v.axiom for v in validate_tables(star, r1, r2).violations}
     assert "singular-1" in axioms and "singular-3" not in axioms
-    assert pair_proofs == [True] and 3 not in scanned
+    assert scanned[3] == 9
 
 
 def test_trivial_star_validation_memory_at_order_1024():
-    # the pair proof holds int32 n x n blocks, gathered by fancy indexing;
-    # with one identity-3 slab per element in its place, validation of these
-    # tables peaked at 24.2 MB
+    # no slab of identities 1-3 is read, and the peak, 23.0 MB, is the
+    # quandle kernel's int64 preimage count; with one identity-3 slab per
+    # element, validation of these tables peaked at 24.2 MB
     n = 1024
     idx = np.arange(n, dtype=np.int16)
     star = np.repeat(idx[:, None], n, axis=1)
@@ -398,9 +399,7 @@ def test_trivial_star_validation_memory_at_order_1024():
 # many moving rho_s at once, unlike the affine (few orbits) and trivial
 # (no moving rho_s) targets.
 
-def test_union_rows_match_oracle(pair_proofs):
-    # about n distinct columns: identity 3 takes the slab path, never the
-    # pair proof
+def test_union_rows_match_oracle():
     rng = random.Random(13)
     n = 3 * 6 + 5
     q = union_singquandle([3] * 6 + [5], np.random.default_rng(1).permutation(n))
@@ -417,7 +416,6 @@ def test_union_rows_match_oracle(pair_proofs):
             a, b = rng.randrange(n), rng.randrange(n)
             tables[which][a, b] = (tables[which][a, b] + 1 + rng.randrange(n - 1)) % n
             _assert_rows_match_oracle(*tables)
-    assert pair_proofs == []
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -406,15 +406,18 @@ def test_empty_diagram_compiles_to_a_presentation_that_colors(tmp_path, capsys):
         assert run(capsys, "color", str(link), "corpus:X-Z4") == (0, "1 colorings\n", "")
 
 
-@pytest.mark.parametrize("fmt", ("human", "machine"))
-def test_color_list_of_a_link_without_generators_prints_nothing(tmp_path, capsys, fmt):
-    # its one coloring has an empty image, which closure refuses; the
-    # count is not printed before that failure
+@pytest.mark.parametrize("fmt, listed", [("human", "1 colorings\ngenerators: \n -> {}\n"),
+                                         ("machine", "1\n -> {}\n")])
+def test_color_list_of_a_link_without_generators_lists_the_empty_coloring(tmp_path, capsys,
+                                                                           fmt, listed):
+    # its one coloring assigns nothing and has the empty image, whose ssqp
+    # is 0; a subsingquandle is nonempty, so ssqp of the empty subset is not
     pd = tmp_path / "empty.pd"
     pd.write_text("")
-    code, out, err = run(capsys, "color", "--list", "--format", fmt, str(pd), "corpus:X-Z4")
-    assert code == 4 and out == ""
-    assert err == "error: closure needs a nonempty seed\n"
+    assert run(capsys, "color", "--list", "--format", fmt, str(pd), "corpus:X-Z4") == \
+        (0, listed, "")
+    assert run(capsys, "phi", str(pd), "corpus:X-Z4") == (0, "1*u^{0}\n", "")
+    assert run(capsys, "ssqp", "corpus:X-Z4", "--subset", "")[0] == 4
 
 
 def test_pd2rel_rejects_presentation_id(capsys):

@@ -17,7 +17,6 @@ from singquandles.core import (
     validate_tables,
 )
 from singquandles.errors import (
-    EmptySeedError,
     MalformedTableError,
     NotABijectionError,
     NotAQuandleError,
@@ -264,8 +263,14 @@ def test_closure_matches_oracle():
 
 
 def test_closure_empty_seed(xz4):
-    with pytest.raises(EmptySeedError):
-        xz4.closure([])
+    assert xz4.closure([]) == frozenset()
+    # an empty row among others closes to itself, and gathers nothing
+    # through the padding 4
+    seeds = np.array([[4, 4], [1, 4], [4, 4], [0, 2]])
+    rows = kernels.closures((xz4.star, xz4.r1, xz4.r2), seeds, 4).tolist()
+    assert [sorted(x for x in row if x < 4) for row in rows] == \
+        [[], sorted(naive_closure(xz4, [1])), [], sorted(naive_closure(xz4, [0, 2]))]
+    assert kernels.closures((xz4.star,), np.empty((2, 0), dtype=np.int64), 4).shape == (2, 0)
 
 
 def test_subsingquandle_detection(xz4):
@@ -647,7 +652,8 @@ def test_report_describe_mentions_axiom():
 
 
 def test_validate_order_cross_check(xz4):
-    report = validate_tables(xz4.star, xz4.r1, xz4.r2, order=4)
-    assert report.ok
-    with pytest.raises(MalformedTableError):
-        validate_tables(xz4.star, xz4.r1, xz4.r2, order=5)
+    # the order is len(star); a table of another shape is malformed
+    assert validate_tables(xz4.star, xz4.r1, xz4.r2).order == 4
+    for tables in ((xz4.star[:, :3], xz4.r1, xz4.r2), (xz4.star, xz4.r1, xz4.r2[:3])):
+        with pytest.raises(MalformedTableError, match="shape"):
+            validate_tables(*tables)

@@ -28,9 +28,11 @@ def test_kinds():
 
 
 def test_aliases_resolve():
-    assert corpus.load("1_1l-presentation") is corpus.load("1_1l")
-    assert corpus.load("link-K2-presentation") is corpus.load("K2")
-    assert corpus.load("link-K2-pd") is corpus.load("K2-pd")
+    # the ids are the data file stems alone; no other spelling names an entry
+    for alias in ("1_1l-presentation", "link-K2-presentation", "link-K2-pd"):
+        with pytest.raises(UnknownIdError) as exc:
+            corpus.load(alias)
+        assert ", ".join(corpus.ids()) in str(exc.value)
 
 
 def test_unknown_id_lists_choices():

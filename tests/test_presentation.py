@@ -10,9 +10,9 @@ import pytest
 from singquandles import corpus, kernels
 from singquandles.core import table_singquandle
 from singquandles.diagram import SingularPD, pd_to_presentation
-from singquandles.errors import EmptySeedError, ParseError, UnboundGeneratorError
+from singquandles.errors import ParseError, UnboundGeneratorError
 from singquandles.formulas import affine_singquandle
-from singquandles.polynomial import PhiInvariant, ssqp
+from singquandles.polynomial import PhiInvariant, SqPolynomial, ssqp
 from singquandles.presentation import (
     SingPresentation,
     _coloring_rows,
@@ -216,8 +216,10 @@ def test_no_generators_yields_empty_hom():
     pres = SingPresentation((), ())
     q = corpus.load("X-Z4")
     assert enumerate_homs(pres, q) == [{}]
-    with pytest.raises(EmptySeedError):  # its image would be empty
-        phi_ssqp(pres, q)
+    # its image is empty, whose ssqp is 0, and phi counts it
+    phi = phi_ssqp(pres, q)
+    assert phi == PhiInvariant([(SqPolynomial([]), 1)]) and phi.render() == "1*u^{0}"
+    assert phi.counting() == counting_invariant(pres, q) == 1
 
 
 def test_unconstrained_generators():
