@@ -5,8 +5,10 @@ SHA-256 of its exit code, stdout and stderr.  The matrix covers ``phi`` in
 both formats and ``color --list`` for every corpus link over every corpus
 structure and every affine(n, t, s) with n <= 5 (gcd(t, n) = 1, 0 <= s < n),
 ``sqp --format machine`` for each of those structures, ``iso`` for each
-pair of distinct structures of one order, and ``validate`` of the tables in
-:func:`validate_files`.  The structures are written to files with relative
+pair of distinct structures of one order, ``validate`` of the tables in
+:func:`validate_files`, and ``iso`` and ``validate`` over the relabelled
+structures of :func:`relabelled_files`, whose generating sets S have 3 or 4
+members, so that the mappings ``iso`` prints depend on S.  The structures are written to files with relative
 names in the working directory, so every argv is the same on every machine.
 
 ``tests/test_cli.py::test_cli_output_matches_recorded_digest`` compares a
@@ -33,8 +35,11 @@ import numpy as np
 
 from singquandles import corpus
 from singquandles.cli import main
+from singquandles.core import table_singquandle
 from singquandles.fileformats import load_singquandle, render_singquandle
 from singquandles.formulas import affine_singquandle
+
+from oracles import union_singquandle
 
 DIGEST_PATH = Path(__file__).parent / "data" / "cli_digest.json"
 
@@ -107,6 +112,29 @@ def validate_files(directory: Path, structures: list[str]) -> list[str]:
     return names
 
 
+def relabelled_files(directory: Path) -> list[tuple[str, str, str]]:
+    """For affine(16,3,2), affine(27,2,3), the dihedral affine(12,11,2) and
+    a union of two R_3 quandles, the structure and two seeded relabellings
+    of it, written to directory: (original, first copy, second copy) names.
+    The copies keep the default labels, so ``iso`` prints the permuted
+    elements, and the seeds give each a generating set of 3 or 4 members."""
+    bases = {"affine-16-3-2": (affine_singquandle(16, 3, 2), 1),
+             "affine-27-2-3": (affine_singquandle(27, 2, 3), 0),
+             "dihedral-12": (affine_singquandle(12, 11, 2), 2),
+             "union-3-3": (union_singquandle([3, 3]), 3)}
+    triples = []
+    for stem, (q, seed) in bases.items():
+        names = (f"{stem}.sq", f"{stem}-relabelled.sq", f"{stem}-relabelled-2.sq")
+        copies = [q]
+        for s in (seed, seed + 10):
+            moved = q.relabel(np.random.default_rng(s).permutation(q.order))
+            copies.append(table_singquandle(q.order, moved.star, moved.r1, moved.r2))
+        for name, copy in zip(names, copies):
+            (directory / name).write_text(render_singquandle(copy))
+        triples.append(names)
+    return triples
+
+
 def matrix(directory: Path) -> list[list[str]]:
     """Every argv of the matrix, in a fixed order."""
     orders = write_structures(directory)
@@ -124,6 +152,9 @@ def matrix(directory: Path) -> list[list[str]]:
                 calls.append(["iso", first, second])
     for q in structures + validate_files(directory, structures):
         calls.append(["validate", q])
+    for original, first, second in relabelled_files(directory):
+        calls += [["iso", first, original], ["iso", original, first], ["iso", first, second],
+                  ["validate", first], ["validate", second]]
     return calls
 
 
