@@ -93,7 +93,7 @@ def _print_phi(phi: PhiInvariant, fmt: str) -> None:
     if fmt == "machine":
         for poly, mult in phi.entries():
             flat = ";".join(" ".join([*map(str, mono), str(coeff)]) for mono, coeff in poly.terms())
-            print(mult, flat)
+            print(f"{mult} {flat}" if flat else mult)
     else:
         print(phi.render())
 
@@ -156,10 +156,9 @@ def _cmd_color(args) -> int:
         print(f"{len(rows)} colorings")
     if args.list:
         if args.format != "machine":
-            print("generators: " + " ".join(pres.generators))
+            print(" ".join(["generators:", *pres.generators]))
         for row, i in zip(rows.tolist(), which.tolist()):
-            values = " ".join(q.labels[x] for x in row)
-            print(f"{values} -> {{{images[i]}}}")
+            print(" ".join([*(q.labels[x] for x in row), f"-> {{{images[i]}}}"]))
     return 0
 
 

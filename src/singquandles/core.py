@@ -23,17 +23,23 @@ for bar):
 
 Validation counts preimages once, which decides (ii) and gives bar, takes
 a generating set S of (X, *) and proves each n^3 identity on its own:
-(iii) when each x -> x*s with s in S preserves star, 1 (2) when each also
-preserves R1 (R2), and 3 when 1 and 2 are proved and 3 holds at one element
-of each Inn-orbit, or at once when no such map moves, since every x -> x*y
-is then the identity (see :mod:`singquandles.kernels`).  The quandle kernel
-proves once that these maps preserve star, their Inn-orbits are labelled
-once, and the singular kernel takes both; a structure keeps them as
-``rhos`` for phi and ``orbits`` for the isomorphism search.  Only an
-identity whose proof fails gets the full scan, which finds its witnesses;
-4 and 5 are checked on all pairs.  The trivial star a*b == a costs n^2.
-Many Inn-orbits with some moving map still cost n^3: a disjoint union of
-many small quandles with a*b == a across components.
+(iii) when each x -> x*s with s in S preserves star, 1 when each also
+preserves R1, 2 when each also preserves R2 or when 1 is proved and 4
+holds at every pair, and 3 when 1 and 2 are proved and 3 holds at one
+element of each Inn-orbit, or at once when no such map moves, since every
+x -> x*y is then the identity (see :mod:`singquandles.kernels`).  One
+computation finds S and the Inn-orbits together: S grows greedily by the
+least element of an orbit that holds no member yet, merging orbits along
+each new map, and the orbits that hold a member are the *-closure of S.
+The quandle kernel does it and proves once that these maps preserve star,
+and the singular kernel takes maps and orbits; a structure keeps S as
+``gens``, the maps as ``rhos`` for phi and the orbits as ``orbits`` for
+the isomorphism search.  Only an identity whose proof fails gets the full
+scan, which finds its witnesses, and only the scans of 1 and 2 build
+transposes of star and bar; 4 and 5 are checked on all pairs.  The
+trivial star a*b == a costs n^2.  Many Inn-orbits with some moving map
+still cost n^3: a disjoint union of many small quandles with a*b == a
+across components.
 
 A report shows the first ``MAX_VIOLATIONS`` rows in the order above:
 (i)-(iii), then 1-5, each in witness order.  Each kernel yields its rows
@@ -132,9 +138,7 @@ def _validate(star, r1, r2, n: int):
     r1 = _as_table(r1, n, "R1")
     r2 = _as_table(r2, n, "R2")
 
-    gens = kernels.generating_set(star)
-    rows, bar, rhos = kernels.quandle_violations(star, MAX_VIOLATIONS, gens)
-    orbits = None if rhos is None else kernels.orbit_labels(np.arange(n)[:, None], rhos, n)
+    rows, bar, gens, rhos, orbits = kernels.quandle_violations(star, MAX_VIOLATIONS)
     violations = [Violation(_QUANDLE_AXIOMS[code], witness) for code, witness in _rows(rows)]
     if bar is not None:
         left = MAX_VIOLATIONS - len(violations)

@@ -11,31 +11,43 @@ and when rho_c preserves star, rho_{b*c} = rho_c rho_b rho_c^-1 (Joyce,
 JPAA 1982).  So the elements whose rho preserves star, and with it R1 or
 R2, are closed under *; they contain S, so they are all of X, and
 checking the moving rho_s for s in S proves axiom (iii), and identity 1
-or 2, for every element.  Idempotence is not used.  Once star, R1 and R2
-are all preserved, identity 3 is invariant under the diagonal action of
-Inn(X), which the rho_s generate, so one n x n slab per Inn-orbit proves
-it.  When no rho_s moves, the same closure makes every rho_x the
-identity: this is the trivial star x*y = x, where identities 1-3 hold
-outright, so it reads no slab of them.  Identities 4 and 5 are n^2
-checks.  :func:`generating_set` finds S greedily, after taking in one
-batch every element whose column is the identity map.  The worst case
-stays n^3: a star with many Inn-orbits and some moving rho_s, such as a
-disjoint union of many small non-trivial quandles with x*y = x across
-components, with about n/3 orbits for components of order 3.
+or 2, for every element.  Idempotence is not used.  Identity 2 also
+follows from identities 1 and 4: when each rho preserves star and R1 and
+R2(a,b) = R1(b, a*b) at every pair, each rho preserves R2 too, so a valid
+structure checks R2 against no rho_s.  Once star, R1 and R2 are all
+preserved, identity 3 is invariant under the diagonal action of Inn(X),
+which the rho_s generate, so one n x n slab per Inn-orbit proves it.
+When no rho_s moves, the same closure makes every rho_x the identity:
+this is the trivial star x*y = x, where identities 1-3 hold outright, so
+it reads no slab of them.  Identities 4 and 5 are n^2 checks.  The worst
+case stays n^3: a star with many Inn-orbits and some moving rho_s, such
+as a disjoint union of many small non-trivial quandles with x*y = x
+across components, with about n/3 orbits for components of order 3.
+
+S and the Inn-orbits come from one computation,
+:func:`generators_and_orbits`: S starts with every element whose column
+is the identity map, then takes the least element of an orbit that holds
+no member yet and merges the orbits along its rho_s, until every orbit
+holds one.  By Joyce's formula the orbits that hold a member of S are the
+*-closure of S, so this is the greedy generating set, found in O(n) per
+member and merge round rather than by taking products.
 
 Each step runs once: :func:`quandle_violations` counts preimages, which
-gives the right-invertibility rows or bar, and proves that the moving rho_s
-preserve star; :mod:`singquandles.core` labels their Inn-orbits once by
-:func:`orbit_labels` and hands maps and labels to :func:`sing_violations`,
-then keeps both on the structure for phi and the isomorphism search.
+gives the right-invertibility rows or bar, finds S, the moving rho_s and
+their Inn-orbits, and proves that the rho_s preserve star;
+:mod:`singquandles.core` hands maps and labels to :func:`sing_violations`,
+then keeps all three on the structure for phi and the isomorphism search.
 
 A proof decides only whether an identity's scan runs, so the reported rows
 never depend on it.  The scans of the n^3 identities run in slabs over
 ``a``: one n x n block per identity per step, built from row gathers and
-flat ``take`` on the n x n tables, so memory stays O(n^2).  The kernels
-convert no table.  A structure's tables are int16 (see
-:mod:`singquandles.core`), and every flat index ``x * n + y`` built from
-their entries is int64, since an int16 product wraps from n = 182 on.
+flat ``take`` on the n x n tables, so memory stays O(n^2).  The scans of
+identities 1 and 2 gather rows of the transposes of star and bar, built
+only when one of those scans runs; identity 3 reads star and bar as they
+are, so a valid build makes no n x n transpose.  The kernels convert no
+table.  A structure's tables are int16 (see :mod:`singquandles.core`), and
+every flat index ``x * n + y`` built from their entries is int64, since an
+int16 product wraps from n = 182 on.
 
 Violation rows are ``[code, a, b, c]`` with unused slots set to -1.  The
 ``cap`` argument bounds the rows reported in all, in report order: the
@@ -89,8 +101,7 @@ from .errors import FrontierTooLargeError
 from .terms import eval_rows
 
 __all__ = [
-    "generating_set",
-    "moving_rhos",
+    "generators_and_orbits",
     "quandle_violations",
     "sing_violations",
     "enumerate_colorings",
@@ -150,47 +161,63 @@ def _slab_rows(code: int, values, cap: int, block):
             yield _pack(code, np.full_like(b, a), b, c)
 
 
-def _fresh(values: np.ndarray, seen: np.ndarray) -> np.ndarray:
-    """The distinct entries of values not yet in the mask seen, ascending,
-    now added to it.  A mask over the n elements does what ``np.unique``
-    would, without its sort."""
-    hit = np.zeros(len(seen), dtype=bool)
-    hit[values] = True
-    hit &= ~seen
-    seen |= hit
-    return np.flatnonzero(hit)
+def _merge(label: np.ndarray, here: np.ndarray, there: np.ndarray) -> np.ndarray:
+    """The labels of a graph's nodes once the edges (here[i], there[i]) join
+    their components, given labels that point each node to the least node
+    of its component so far; label may be updated in place, so use the
+    result.  Hooking and pointer jumping (Shiloach and Vishkin, J.
+    Algorithms 1982): each round, the larger root of each edge whose ends
+    have different roots points to the least root it meets, and then every
+    label becomes its label's label until nothing changes.  An edge whose
+    ends share a root stays so, so each round reads only the edges still
+    apart."""
+    while True:
+        a, b = label[here], label[there]
+        apart = a != b
+        if not apart.any():
+            return label
+        here, there = here[apart], there[apart]
+        np.minimum.at(label, np.maximum(a, b)[apart], np.minimum(a, b)[apart])
+        while True:
+            up = label[label]
+            if (up == label).all():
+                break
+            label = up
 
 
-def generating_set(star) -> np.ndarray:
-    """A generating set S of (X, *), ascending.  Every g whose column is the
-    identity map (x*g = x for all x) joins S first, in one batch: these are
-    closed under *, since f*g = f for any two of them, so they enter the
-    closure without a product.  Then greedy: the lowest element outside the
-    *-closure of S so far joins S, and the closure grows semi-naively,
-    multiplying only the new elements with the members, so each product is
-    taken at most twice and the cost is O(n^2)."""
+def generators_and_orbits(star: np.ndarray):
+    """A generating set S of (X, *), ascending; the rows rho_s = star[:, s]
+    of the s in S whose map moves, in the same order; and each element's
+    Inn-orbit label under them, the least element of its orbit.  star must
+    be right-invertible, so that each rho_s is a permutation.
+
+    S starts with every g whose column is the identity map, each its own
+    orbit.  Then, while some orbit holds no member of S, its least element
+    joins S, and :func:`_merge` joins the orbits along the new rho_s.  A
+    permutation's inverse is one of its powers, so the orbits that hold a
+    member of S lie in the *-closure of S, and S generates X.  In a rack
+    rho_{x*y} = rho_y rho_x rho_y^-1 (Joyce, JPAA 1982), so that closure is
+    exactly the union of those orbits: S is the greedy set that takes the
+    least element outside the closure so far.  Each member that joins costs
+    O(n) per round of the merge."""
     n = star.shape[0]
-    inside = np.all(star == np.arange(n)[:, None], axis=0)
-    members = np.flatnonzero(inside)
-    gens = [members]
-    for g in range(n):
-        if inside[g]:
-            continue
-        gens.append([g])
-        inside[g] = True
-        new = np.array([g])
-        while new.size:
-            members = np.concatenate([members, new])
-            new = _fresh(np.concatenate([star[np.ix_(new, members)].ravel(),
-                                         star[np.ix_(members, new)].ravel()]), inside)
-    return np.sort(np.concatenate(gens))
-
-
-def moving_rhos(star: np.ndarray, gens) -> np.ndarray:
-    """Rows rho_s = star[:, s] for the s in gens whose rho_s is not the
-    identity; an identity map preserves every table."""
-    rhos = np.ascontiguousarray(star[:, gens].T)
-    return rhos[np.any(rhos != np.arange(star.shape[0]), axis=1)]
+    idx = np.arange(n)
+    covered = np.all(star == idx[:, None], axis=0)  # the members of orbits that hold one of S
+    fixed = np.flatnonzero(covered)
+    label = idx.copy()
+    moving = []
+    g = 0  # every element below g is covered
+    while (free := np.flatnonzero(~covered[g:])).size:
+        g += int(free[0])
+        moving.append(g)
+        label = _merge(label, idx, star[:, g])
+        held = np.zeros(n, dtype=bool)  # held[r]: the orbit of root r holds one of S
+        held[label[covered]] = True
+        held[label[g]] = True
+        covered = held[label]
+    moving = np.array(moving, dtype=fixed.dtype)
+    gens = np.sort(np.concatenate([fixed, moving]))
+    return gens, np.ascontiguousarray(star[:, moving].T), label
 
 
 def _preserved(rhos: np.ndarray, table: np.ndarray) -> bool:
@@ -200,25 +227,27 @@ def _preserved(rhos: np.ndarray, table: np.ndarray) -> bool:
     return all(np.array_equal(table[rho].take(rho, axis=1), rho.take(table)) for rho in rhos)
 
 
-def quandle_violations(star: np.ndarray, cap: int, gens):
+def quandle_violations(star: np.ndarray, cap: int):
     """The first cap rows of the quandle axioms in report order, with bar,
-    the right inverse of star (None when it has none), and the moving rho_s
-    of ``gens``, a generating set of (X, *), when they are proved to
-    preserve star (None when not, and when the rows before the proof fill
-    cap, since the singular kernel then gets nothing to scan).
+    the right inverse of star (None when it has none), and the
+    :func:`generators_and_orbits` of star, S, the moving rho_s and the
+    elements' Inn-orbit labels, when the rho_s are proved to preserve star
+    (None each when not, and when the rows before the proof fill cap, since
+    the singular kernel then gets nothing to scan).
 
     One preimage count decides (ii): its code-1 rows, or bar when every
     count is 1.  The rows are the first cap of one stream: the idempotence
-    rows, the code-1 rows, then, given bar, one n x n comparison per moving
-    rho_s that proves self-distributivity, and the slab scan when that proof
-    fails or there is no bar."""
+    rows, the code-1 rows, then, given bar, S and the orbits and one n x n
+    comparison per moving rho_s that proves self-distributivity, and the
+    slab scan when that proof fails or there is no bar."""
     n = star.shape[0]
     idx = np.arange(n, dtype=np.int64)
     # flat[x, y] = y*n + x*y indexes cell (y, x*y) of an n x n table, so
     # counts[y, z] = number of x with x*y = z; each must be 1
     flat = star + idx * n
     bad = np.flatnonzero(np.bincount(flat.ravel(), minlength=n * n) != 1)
-    bar = autos = None
+    bar = None
+    inner = (None, None, None)
     if not bad.size:
         bar = np.empty_like(star)
         bar[star, idx] = idx[:, None]
@@ -228,32 +257,42 @@ def quandle_violations(star: np.ndarray, cap: int, gens):
         return m, m.ravel().take(flat)
 
     def stream():
-        nonlocal autos
+        nonlocal inner
         yield _pack(0, np.flatnonzero(star[idx, idx] != idx))
         yield _pack(1, *np.divmod(bad[:cap], n))
         if bar is not None:
-            rhos = moving_rhos(star, gens)
-            if _preserved(rhos, star):
-                autos = rhos
+            found = generators_and_orbits(star)
+            if _preserved(found[1], star):
+                inner = found
                 return
         yield from _slab_rows(2, range(n), cap, distributive)
 
     rows = _first(stream(), cap)
-    return rows, bar, autos
+    return (rows, bar, *inner)
 
 
 def sing_violations(star, bar, r1, r2, cap: int, autos, orbits) -> np.ndarray:
     """The first cap rows of the five compatibility identities in report
     order, for bar the right inverse of star, ``autos`` the moving rho_s
     that :func:`quandle_violations` proved to preserve star and ``orbits``
-    the elements' :func:`orbit_labels` under them, or both None.
+    the elements' Inn-orbit labels under them, or both None.
 
-    Identities 1, 2 and 3 each get their slab scan unless proved: 1 (2) when
-    autos is not None and each of its maps preserves R1 (R2), 3 when 1 and 2
-    are and it holds at one element per Inn-orbit.  4 and 5 are checked on
-    all pairs.  These steps form the stream of :func:`_sing_rows`, drawn
-    until cap rows are in, so no step after the cap runs, proof or scan."""
+    Identity 1 gets its slab scan unless autos is not None and each of its
+    maps preserves R1.  Identity 2 gets its scan unless 1 is proved so and
+    identity 4 holds at every pair, or each map preserves R2: for rho an
+    automorphism of star and R1, R2(rho a, rho b) = R1(rho b, rho(a*b)) =
+    rho R1(b, a*b) = rho R2(a, b) by identity 4.  Identity 3 gets its scan
+    unless 1 and 2 are proved and it holds at one element per Inn-orbit.  4
+    and 5 are checked on all pairs.  These steps form the stream of
+    :func:`_sing_rows`, drawn until cap rows are in, so no step after the
+    cap runs, proof or scan."""
     return _first(_sing_rows(star, bar, r1, r2, cap, autos, orbits), cap)
+
+
+def _transposed(table: np.ndarray) -> np.ndarray:
+    """A C-contiguous copy of table.T, for the slab scans of identities 1
+    and 2, which gather its rows."""
+    return np.ascontiguousarray(table.T)
 
 
 def _sing_rows(star, bar, r1, r2, cap: int, autos, orbits):
@@ -261,12 +300,13 @@ def _sing_rows(star, bar, r1, r2, cap: int, autos, orbits):
     at most cap rows each; each proof and scan runs when it is drawn.  When
     autos holds no map, 1, 2 and 3 are proved with no slab read: S
     generates X under *, so every rho_x is the identity, x*y = x = x/y, and
-    both sides of 1, 2 and 3 read R1(a,c), R2(a,c) and b."""
+    both sides of 1, 2 and 3 read R1(a,c), R2(a,c) and b.  The transposes
+    star_t[b, c] = c*b and bar_t[b, c] = c/b are built only when a scan of
+    identity 1 or 2 runs; identity 3 reads columns of star and bar."""
     n = star.shape[0]
     idx = np.arange(n, dtype=np.int64)
-    star_t = np.ascontiguousarray(star.T)  # star_t[b, c] = c*b
-    bar_t = np.ascontiguousarray(bar.T)    # bar_t[b, c] = c/b
-    row_b = idx[:, None] * n               # flat offset of row b
+    row_b = idx[:, None] * n  # flat offset of row b
+    star_t = bar_t = None
 
     def one(a):  # R1(a/b, c)*b == R1(a, c*b)
         return star_t.ravel().take(r1[bar[a]] + row_b), r1[a].take(star_t)
@@ -275,26 +315,39 @@ def _sing_rows(star, bar, r1, r2, cap: int, autos, orbits):
         return r2[bar[a]], bar_t.ravel().take(r2[a].take(star_t) + row_b)
 
     def three(a):  # (b/R1(a,c))*a == (b*R2(a,c))/c
-        return (star_t[a].take(bar.take(r1[a], axis=1)),
-                bar_t.ravel().take(star.take(r2[a], axis=1) + row_b.T))
+        rhs = np.multiply(star.take(r2[a], axis=1), n, dtype=np.int64)
+        rhs += idx  # rhs[b, c] indexes cell (b*R2(a,c), c) of bar
+        return star[:, a].take(bar.take(r1[a], axis=1)), bar.ravel().take(rhs)
 
-    proved = True  # 1 and 2 so far, then 3
-    for code, table, block in ((1, r1, one), (2, r2, two)):
-        if not (autos is not None and _preserved(autos, table)):
-            proved = False
-            yield from _slab_rows(code, range(n), cap, block)
+    def flat():  # flat[a, b] = b*n + a*b indexes cell (b, a*b)
+        return star + row_b.T
+
+    def kept(table):  # every moving rho_s preserves table
+        return autos is not None and _preserved(autos, table)
+
+    proved_one = kept(r1)
+    if not proved_one:
+        star_t = _transposed(star)
+        yield from _slab_rows(1, range(n), cap, one)
+    four = r2 != r1.ravel().take(flat()) if proved_one else None  # where 4 fails
+    proved_two = (proved_one and not four.any()) or kept(r2)
+    if not proved_two:
+        star_t = _transposed(star) if star_t is None else star_t
+        bar_t = _transposed(bar)
+        yield from _slab_rows(2, range(n), cap, two)
+    star_t = bar_t = None
+    proved = proved_one and proved_two
     if proved and len(autos):
         proved = next(_slab_rows(3, np.flatnonzero(orbits == idx), 1, three), None) is None
     if not proved:
         yield from _slab_rows(3, range(n), cap, three)
 
     # 4: R2(a,b) == R1(b, a*b) and 5: R1(a,b)*R2(a,b) == R2(b, a*b), from
-    # int64 flat indices held one at a time once the transposes are freed
-    del star_t, bar_t
-    flat = star + idx * n  # flat[a, b] = b*n + a*b indexes cell (b, a*b)
-    yield _pack(4, *np.divmod(np.flatnonzero(r2 != r1.ravel().take(flat))[:cap], n))
-    rhs = r2.ravel().take(flat)
-    del flat
+    # int64 flat indices held one at a time
+    if four is None:
+        four = r2 != r1.ravel().take(flat())
+    yield _pack(4, *np.divmod(np.flatnonzero(four)[:cap], n))
+    rhs = r2.ravel().take(flat())
     pair = np.multiply(r1, n, dtype=np.int64)
     pair += r2             # pair[a, b] indexes cell (R1(a,b), R2(a,b))
     yield _pack(5, *np.divmod(np.flatnonzero(star.ravel().take(pair) != rhs)[:cap], n))
@@ -461,13 +514,9 @@ def orbit_labels(seeds: np.ndarray, rhos: np.ndarray, n: int) -> np.ndarray:
     (:func:`_row_keys`, base n + 1) in one call, so that a fold ranks them
     together; the seeds' keys then ascend, and one ``searchsorted`` finds
     each image among them.  The orbits are the components of the graph
-    joining each seed set to its images, found by hooking and pointer
-    jumping (Shiloach and Vishkin, J. Algorithms 1982): every label points
-    to a root, a seed set that is its own label; each round, the larger root
-    of each edge whose ends have different roots points to the least root it
-    meets, and then every label becomes its label's label until nothing
-    changes.  The inverse of a permutation of a finite set is one of its
-    powers, so the images alone reach every orbit.
+    joining each seed set to its images, found by :func:`_merge`.  The
+    inverse of a permutation of a finite set is one of its powers, so the
+    images alone reach every orbit.
     """
     d = len(seeds)
     label = np.arange(d)
@@ -487,18 +536,7 @@ def orbit_labels(seeds: np.ndarray, rhos: np.ndarray, n: int) -> np.ndarray:
             f"seed set {here[here < n].tolist()} maps to {image[image < n].tolist()}, which "
             f"no coloring has: a map x -> x*s with s in the generating set is not an "
             f"automorphism")
-    here = np.tile(label, len(rhos))
-    while True:
-        a, b = label[here], label[there]
-        apart = a != b
-        if not apart.any():
-            return label
-        np.minimum.at(label, np.maximum(a, b)[apart], np.minimum(a, b)[apart])
-        while True:
-            up = label[label]
-            if np.array_equal(up, label):
-                break
-            label = up
+    return _merge(label, np.tile(label, len(rhos)), there)
 
 
 def _members(tables, rows: np.ndarray, n: int) -> np.ndarray:
@@ -529,7 +567,9 @@ def closures(tables, seeds: np.ndarray, n: int) -> np.ndarray:
     growing row in an (rows, n) boolean block.  A row whose count did not
     grow is closed and leaves, and so does a row whose count reached n, as
     ``arange(n)``, without a round that would only re-prove it closed; the
-    others are read back from the block as ascending padded rows.  Rows go
+    others are read back from the block as ascending padded rows, as wide as
+    the largest, and the seed rows are first cut to the width of the largest
+    seed set, as a padding column adds products but no member.  Rows go
     CLOSURE_BLOCK // max(3 K^2, n) at a time, at least one, so a step holds
     at most max(CLOSURE_BLOCK, 3 K^2) products or cells whatever m is.
     """
@@ -537,6 +577,7 @@ def closures(tables, seeds: np.ndarray, n: int) -> np.ndarray:
     if not len(seeds):
         return np.empty((0, 0), dtype=np.int64)
     sizes = np.count_nonzero(seeds < n, axis=1)
+    seeds = seeds[:, :sizes.max()]  # the columns past every seed set hold only padding
     # (ids, rows, sizes) of the rows that left; an empty seed set is closed
     # and leaves before any gather, as _members would read its padding
     empty = sizes == 0

@@ -116,7 +116,8 @@ def render_presentation(pres: SingPresentation) -> str:
     lines = []
     if pres.name:
         lines.append(f"name: {pres.name}")
-    lines.append("generators: " + ", ".join(pres.generators))
+    generators = ", ".join(pres.generators)
+    lines.append(f"generators: {generators}" if generators else "generators:")
     for lhs, rhs in pres.relations:
         lines.append(f"{render_term(lhs)} = {render_term(rhs)}")
     return "\n".join(lines) + "\n"

@@ -344,6 +344,20 @@ def star_closure(star, seed) -> set[int]:
         members |= new
 
 
+def greedy_generators(star) -> list[int]:
+    """The generating set validation keeps, ascending, from plain loops:
+    every element whose column is the identity map, then each element, in
+    ascending order, outside the star_closure of those taken so far."""
+    n = len(star)
+    gens = [g for g in range(n) if all(star[x][g] == x for x in range(n))]
+    inside = star_closure(star, gens)
+    for g in range(n):
+        if g not in inside:
+            gens.append(g)
+            inside = star_closure(star, inside | {g})
+    return sorted(gens)
+
+
 def inner_automorphisms(star) -> set[tuple[int, ...]]:
     """Every element of Inn(X), as image tuples: breadth-first over
     compositions of all the right translations y -> y*x, from the identity."""

@@ -8,8 +8,9 @@ structure and every affine(n, t, s) with n <= 5 (gcd(t, n) = 1, 0 <= s < n),
 pair of distinct structures of one order, ``validate`` of the tables in
 :func:`validate_files`, and ``iso`` and ``validate`` over the relabelled
 structures of :func:`relabelled_files`, whose generating sets S have 3 or 4
-members, so that the mappings ``iso`` prints depend on S.  The structures are written to files with relative
-names in the working directory, so every argv is the same on every machine.
+members, so that the mappings ``iso`` prints depend on S.  The structures
+are written to files with relative names in the working directory, so
+every argv is the same on every machine.
 
 ``tests/test_cli.py::test_cli_output_matches_recorded_digest`` compares a
 fresh run against the file.  Rerun this script only when a change of CLI

@@ -18,6 +18,7 @@ from oracles import (
     bar_by_columns,
     brute_homs,
     element_orbits,
+    greedy_generators,
     quandle_ok,
     shift_singquandle,
     star_closure,
@@ -50,12 +51,6 @@ def _random_tables(rng, n):
     return star, r1, r2
 
 
-def _orbits(autos, n: int):
-    """The elements' Inn-orbit labels under autos, as validation hands them
-    to the singular kernel with autos: None when autos is None."""
-    return None if autos is None else kernels.orbit_labels(np.arange(n)[:, None], autos, n)
-
-
 def _unreached_cap(n: int) -> int:
     """More rows than any table of order n has: n + n^2 + n^3 quandle rows
     and 3 n^3 + 2 n^2 singular ones at most."""
@@ -68,24 +63,36 @@ def _assert_rows_match_oracle(star, r1, r2, caps=(1, 3, 100)) -> bool:
     singular kernel taking what the quandle rows left of cap.  Checked for
     each of caps and for a cap that no table reaches, which compares every
     identity's full row list.  On every star, right-invertible or not, the
-    quandle kernel's bar is the oracle's.  Returns whether star is
-    right-invertible."""
+    quandle kernel's bar is the oracle's, and whenever it hands on S, the
+    moving rho_s and the Inn-orbits, they are the plain-loop ones.  Returns
+    whether star is right-invertible."""
     try:
         bar = bar_by_columns(star)
     except NotRightInvertibleError:
         bar = None
-    gens = kernels.generating_set(star)
     quandle, singular = ([list(r) for r in rows] for rows in violation_rows(star, bar, r1, r2))
     for cap in (*caps, _unreached_cap(len(star))):
-        rows, kbar, autos = kernels.quandle_violations(star, cap, gens)
+        rows, kbar, gens, autos, orbits = kernels.quandle_violations(star, cap)
         assert rows.tolist() == quandle[:cap]
         assert (None if kbar is None else kbar.tolist()) == bar
+        if gens is not None:
+            _assert_inner_matches_oracle(star, gens, autos, orbits)
         if bar is not None:
             left = cap - len(rows)
-            orbits = _orbits(autos, len(star))
             sing = kernels.sing_violations(star, kbar, r1, r2, left, autos, orbits)
             assert sing.tolist() == singular[:left]
     return bar is not None
+
+
+def _assert_inner_matches_oracle(star, gens, rhos, orbits) -> None:
+    """S is the greedy one of plain loops, rhos are its moving columns in
+    order, and orbits are the least elements of the Inn-orbits."""
+    plain = np.asarray(star).tolist()
+    idx = np.arange(len(plain))
+    assert gens.tolist() == greedy_generators(plain)
+    moving = [star[:, s].tolist() for s in gens if (star[:, s] != idx).any()]
+    assert rhos.tolist() == moving and rhos.shape == (len(moving), len(plain))
+    assert orbits.tolist() == element_orbits(plain)
 
 
 def test_violation_rows_match_oracle():
@@ -140,9 +147,7 @@ def test_proof_catches_corruption_off_orbit_representatives():
     rng = random.Random(5)
     for n, t, s in ((8, 3, 2), (9, 2, 4), (12, 5, 1), (16, 5, 3)):
         q = affine_singquandle(n, t, s)
-        rhos = kernels.moving_rhos(q.star, kernels.generating_set(q.star))
-        idx = np.arange(n)
-        reps = set(np.flatnonzero(kernels.orbit_labels(idx[:, None], rhos, n) == idx).tolist())
+        reps = set(np.flatnonzero(q.orbits == np.arange(n)).tolist())
         assert len(reps) == np.gcd(t - 1, n)  # the Inn-orbits are the cosets of (1-t)Z_n
         others = [a for a in range(n) if a not in reps]
         for which in range(3):
@@ -211,7 +216,7 @@ def test_a_budget_spent_by_idempotence_starts_no_proof_or_scan(monkeypatch):
     n = 128
     star = np.repeat((np.arange(n)[:, None] + 1) % n, n, axis=1)
     called = []
-    for name in ("moving_rhos", "_preserved", "_slab_rows", "orbit_labels"):
+    for name in ("generators_and_orbits", "_preserved", "_slab_rows", "orbit_labels"):
         def recording(*args, name=name, fn=getattr(kernels, name)):
             called.append(name)
             return fn(*args)
@@ -241,15 +246,14 @@ def test_proof_checks_every_orbit_and_right_invertibility():
     r1[3, 0] = 3
     r2 = r1[np.arange(4)[None, :], star]  # R2(a, b) = R1(b, a*b)
     _assert_rows_match_oracle(star, r1, r2)
-    _, bar, autos = kernels.quandle_violations(star, 100, kernels.generating_set(star))
-    rows = kernels.sing_violations(star, bar, r1, r2, 100, autos, _orbits(autos, 4))
+    _, bar, _, autos, orbits = kernels.quandle_violations(star, 100)
+    rows = kernels.sing_violations(star, bar, r1, r2, 100, autos, orbits)
     assert set(rows[:, 0]) == {3} and 0 not in rows[:, 1]
-    # not right-invertible, yet the one moving rho_s preserves star: the
+    # not right-invertible, yet the one moving column preserves star: the
     # quandle kernel hands on no maps, as they are not bijections
     star = np.array([[0, 0, 0], [1, 2, 1], [2, 0, 0]])
-    gens = kernels.generating_set(star)
-    assert kernels._preserved(kernels.moving_rhos(star, gens), star)
-    assert kernels.quandle_violations(star, 100, gens)[1:] == (None, None)
+    assert kernels._preserved(star[:, [1]].T, star)
+    assert kernels.quandle_violations(star, 100)[1:] == (None,) * 4
     _assert_rows_match_oracle(star, np.zeros_like(star), np.zeros_like(star))
 
 
@@ -286,7 +290,7 @@ def test_no_rho_moves_exactly_for_the_trivial_star():
               for t in range(1, max(n, 2)) if np.gcd(t, n) == 1]
     trivial = 0
     for star in stars:
-        autos = kernels.quandle_violations(star, 100, kernels.generating_set(star))[2]
+        autos = kernels.quandle_violations(star, 100)[3]
         identity = bool(np.all(star == np.arange(len(star))[:, None]))
         assert (autos is not None and len(autos) == 0) == identity
         trivial += identity
@@ -403,7 +407,7 @@ def test_union_rows_match_oracle():
     rng = random.Random(13)
     n = 3 * 6 + 5
     q = union_singquandle([3] * 6 + [5], np.random.default_rng(1).permutation(n))
-    _, _, autos = kernels.quandle_violations(q.star, 100, q.gens)
+    autos = kernels.quandle_violations(q.star, 100)[3]
     assert len(autos) == len(q.gens) == 2 * 7  # two per component, all moving
     assert len(set(element_orbits(q.star.tolist()))) == 7
     assert validate_tables(q.star, q.r1, q.r2).ok
@@ -435,7 +439,7 @@ def test_orbit_labels_reject_a_seed_set_mapped_outside_the_seeds():
     # {2}: were {0} a coloring's seed set and {2} none, that map would not
     # be an automorphism
     star = np.array([[0, 2, 1], [2, 1, 0], [1, 0, 2]])
-    rhos = kernels.moving_rhos(star, np.array([1]))
+    rhos = star[:, [1]].T
     with pytest.raises(RuntimeError, match=r"seed set \[0\] maps to \[2\].*not an automorphism"):
         kernels.orbit_labels(np.array([[0]]), rhos, 3)
     assert kernels.orbit_labels(np.array([[0], [2]]), rhos, 3).tolist() == [0, 0]
@@ -445,7 +449,7 @@ def test_orbit_labels_reject_an_image_that_falls_between_seed_sets():
     # x -> x*0 fixes 0 and sends 2 to 1, whose key lies between the seed
     # sets' keys
     star = np.array([[0, 2, 1], [2, 1, 0], [1, 0, 2]])
-    rhos = kernels.moving_rhos(star, np.array([0]))
+    rhos = star[:, [0]].T
     with pytest.raises(RuntimeError, match=r"seed set \[2\] maps to \[1\]"):
         kernels.orbit_labels(np.array([[0], [2]]), rhos, 3)
 
@@ -493,28 +497,34 @@ def test_row_keys_fold_wide_rows_by_rank():
 
 def test_orbit_labels_of_no_seed_sets_are_empty():
     star = np.array([[0, 2, 1], [2, 1, 0], [1, 0, 2]])
-    rhos = kernels.moving_rhos(star, np.array([1]))
-    assert len(rhos) == 1
+    rhos = star[:, [1]].T
     assert kernels.orbit_labels(np.empty((0, 1), dtype=np.int64), rhos, 3).tolist() == []
+
+
+def _generators(star) -> list[int]:
+    return kernels.generators_and_orbits(star)[0].tolist()
 
 
 def test_generating_set_generates():
     q = affine_singquandle(256, 3, 2).relabel(np.random.default_rng(0).permutation(256))
-    gens = kernels.generating_set(q.star).tolist()
+    gens = _generators(q.star)
     assert len(gens) <= 3
     assert star_closure(q.star.tolist(), gens) == set(range(256))
     for cid in ("X-Z4", "Y-Z4", "X-Z8-a", "X-Z8-b"):
         star = corpus.load(cid).star
-        assert star_closure(star.tolist(), kernels.generating_set(star).tolist()) == set(range(len(star)))
+        assert star_closure(star.tolist(), _generators(star)) == set(range(len(star)))
 
 
 def test_generating_set_of_trivial_star_is_everything(monkeypatch):
-    # every column is the identity map, so S is X without a product taken
-    fresh = []
-    monkeypatch.setattr(kernels, "_fresh", lambda *args: fresh.append(args))
+    # every column is the identity map, so S is X, each element its own
+    # orbit, with no merge
+    merged = []
+    monkeypatch.setattr(kernels, "_merge", lambda *args: merged.append(args))
     q = affine_singquandle(64, 1, 0)  # a*b = a
-    assert kernels.generating_set(q.star).tolist() == list(range(64))
-    assert fresh == []
+    gens, rhos, orbits = kernels.generators_and_orbits(q.star)
+    assert gens.tolist() == orbits.tolist() == list(range(64))
+    assert rhos.shape == (0, 64)
+    assert merged == []
 
 
 def test_generating_set_holds_every_identity_column_and_generates():
@@ -529,7 +539,7 @@ def test_generating_set_holds_every_identity_column_and_generates():
               union_singquandle([3, 5, 7, 3], rng.permutation(18)).star]
     for star in stars:
         n = len(star)
-        gens = kernels.generating_set(star).tolist()
+        gens = _generators(star)
         assert gens == sorted(set(gens))
         fixed = np.flatnonzero((star == np.arange(n)[:, None]).all(axis=0))
         assert set(fixed.tolist()) <= set(gens)
@@ -539,7 +549,7 @@ def test_generating_set_holds_every_identity_column_and_generates():
 @pytest.mark.parametrize("n, t", [(48, 47), (64, 3), (128, 3), (256, 3)])
 def test_generating_set_of_benchmark_affine_targets(n, t):
     # no column of these is the identity map, so S is the greedy one
-    assert kernels.generating_set(affine_singquandle(n, t, 2).star).tolist() == [0, 1]
+    assert _generators(affine_singquandle(n, t, 2).star) == [0, 1]
 
 
 def test_violation_cap_bounds_the_total_in_report_order():
@@ -547,17 +557,15 @@ def test_violation_cap_bounds_the_total_in_report_order():
     # identity over a quandle star, with more rows in all than any cap here
     idx = np.arange(6)
     star = (idx[:, None] * idx + 1) % 6
-    gens = kernels.generating_set(star)
-    every = kernels.quandle_violations(star, _unreached_cap(6), gens)[0]
+    every = kernels.quandle_violations(star, _unreached_cap(6))[0]
     assert np.all(np.diff(every[:, 0]) >= 0) and set(every[:, 0]) == {0, 1, 2}
     q = affine_singquandle(6, 5, 2)
     r1, r2 = np.zeros((6, 6), dtype=np.int64), np.ones((6, 6), dtype=np.int64)
-    _, bar, autos = kernels.quandle_violations(q.star, 100, q.gens)
-    orbits = _orbits(autos, 6)
+    _, bar, _, autos, orbits = kernels.quandle_violations(q.star, 100)
     every_sing = kernels.sing_violations(q.star, bar, r1, r2, _unreached_cap(6), autos, orbits)
     assert np.all(np.diff(every_sing[:, 0]) >= 0) and set(every_sing[:, 0]) == {1, 2, 3, 4, 5}
     for cap in (0, 1, 5, 100):
-        assert kernels.quandle_violations(star, cap, gens)[0].tolist() == every[:cap].tolist()
+        assert kernels.quandle_violations(star, cap)[0].tolist() == every[:cap].tolist()
         rows = kernels.sing_violations(q.star, bar, r1, r2, cap, autos, orbits)
         assert rows.tolist() == every_sing[:cap].tolist()
 
@@ -648,7 +656,7 @@ def test_coloring_search_ends_near_its_result():
 
 def test_derive_bar_of_int16_star_at_order_256(affine256):
     assert affine256.star.dtype == np.int16
-    _, bar, _ = kernels.quandle_violations(affine256.star, 100, affine256.gens)
+    bar = kernels.quandle_violations(affine256.star, 100)[1]
     assert bar.dtype == np.int16
     assert bar.tolist() == bar_by_columns(affine256.star.tolist())
 
@@ -657,16 +665,14 @@ def test_violation_rows_at_order_256_do_not_depend_on_table_dtype(affine256):
     q = affine256
     r1 = q.r1.copy()
     r1[255, 255] = (r1[255, 255] + 1) % 256
-    gens = q.gens
     cap = _unreached_cap(256)  # every row, so identity 4's last one is reached
-    quandle, bar, autos = kernels.quandle_violations(q.star, cap, gens)
-    wide_quandle, wide_bar, wide_autos = kernels.quandle_violations(q.star.astype(np.int64), cap, gens)
+    quandle, bar, _, autos, orbits = kernels.quandle_violations(q.star, cap)
+    wide_quandle, wide_bar, _, wide_autos, _ = kernels.quandle_violations(q.star.astype(np.int64), cap)
     assert quandle.tolist() == wide_quandle.tolist() == []
     assert bar.tolist() == wide_bar.tolist() == q.bar.tolist()
     assert autos.tolist() == wide_autos.tolist()
     narrow = [q.star, bar, r1, q.r2]
     wide = [t.astype(np.int64) for t in narrow]
-    orbits = _orbits(autos, 256)
     rows = kernels.sing_violations(*narrow, cap, autos, orbits).tolist()
     assert rows == kernels.sing_violations(*wide, cap, wide_autos, orbits).tolist()
     assert [4, 255, 255, -1] in rows
@@ -676,9 +682,8 @@ def test_preimage_rows_at_order_256_do_not_depend_on_table_dtype(affine256):
     # column 255 now takes the value 254 twice and 255 never: no bar
     star = affine256.star.copy()
     star[255, 255] = 254
-    gens = kernels.generating_set(star)
-    rows, bar, autos = kernels.quandle_violations(star, 100, gens)
-    wide = kernels.quandle_violations(star.astype(np.int64), 100, gens)
-    assert rows.tolist() == wide[0].tolist()
-    assert bar is autos is wide[1] is wide[2] is None
+    rows, *derived = kernels.quandle_violations(star, 100)
+    wide, *wide_derived = kernels.quandle_violations(star.astype(np.int64), 100)
+    assert rows.tolist() == wide.tolist()
+    assert derived == wide_derived == [None] * 4
     assert [1, 255, 254, -1] in rows.tolist() and [1, 255, 255, -1] in rows.tolist()

@@ -399,7 +399,7 @@ def test_empty_diagram_compiles_to_a_presentation_that_colors(tmp_path, capsys):
     pd = tmp_path / "empty.pd"
     pd.write_text("")
     code, out, _ = run(capsys, "pd2rel", str(pd))
-    assert code == 0 and out == "generators: \n"
+    assert code == 0 and out == "generators:\n"
     pres = tmp_path / "empty.pres"
     pres.write_text(out)
     for link in (pd, pres):
@@ -412,10 +412,11 @@ def test_color_list_of_a_link_without_generators_lists_the_empty_coloring(tmp_pa
     # is 0; a subsingquandle is nonempty, so ssqp of the empty subset is not
     pd = tmp_path / "empty.pd"
     pd.write_text("")
-    listed = {"human": "1 colorings\ngenerators: \n -> {}\n", "machine": "1\n -> {}\n"}[fmt]
+    listed = {"human": "1 colorings\ngenerators:\n-> {}\n", "machine": "1\n-> {}\n"}[fmt]
     assert run(capsys, "color", "--list", "--format", fmt, str(pd), "corpus:X-Z4") == \
         (0, listed, "")
     assert run(capsys, "phi", str(pd), "corpus:X-Z4") == (0, "1*u^{0}\n", "")
+    assert run(capsys, "phi", "--format", "machine", str(pd), "corpus:X-Z4") == (0, "1\n", "")
     assert run(capsys, "ssqp", "corpus:X-Z4", "--subset", "")[0] == 4
 
 

@@ -31,6 +31,7 @@ from oracles import (
     bar_by_columns,
     brute_isomorphism,
     element_orbits,
+    greedy_generators,
     naive_closure,
     profile_of,
     quandle_ok,
@@ -117,7 +118,7 @@ def test_violation_witnesses_are_real():
 def _kernel_bar(star):
     """The quandle kernel's bar (None when it finds no right inverse) and
     its right-invertibility rows."""
-    rows, bar, _ = kernels.quandle_violations(star, core.MAX_VIOLATIONS, kernels.generating_set(star))
+    rows, bar = kernels.quandle_violations(star, core.MAX_VIOLATIONS)[:2]
     return bar, rows[rows[:, 0] == 1]
 
 
@@ -502,14 +503,14 @@ def test_non_right_invertible_star_is_counted_once(bincount_sizes):
 def test_valid_build_proves_star_preserved_once(monkeypatch):
     q = affine_singquandle(64, 3, 2)
     tables, rhos = [], []
-    orig_preserved, orig_moving = kernels._preserved, kernels.moving_rhos
+    orig_preserved, orig_found = kernels._preserved, kernels.generators_and_orbits
     monkeypatch.setattr(kernels, "_preserved",
                         lambda r, table: tables.append(table) or orig_preserved(r, table))
-    monkeypatch.setattr(kernels, "moving_rhos",
-                        lambda star, gens: rhos.append(1) or orig_moving(star, gens))
+    monkeypatch.setattr(kernels, "generators_and_orbits",
+                        lambda star: rhos.append(1) or orig_found(star))
     assert table_singquandle(64, q.star, q.r1, q.r2) == q
     assert sum(np.array_equal(t, q.star) for t in tables) == 1
-    assert len(tables) == 3  # star, then R1 and R2
+    assert len(tables) == 2  # star, then R1; R2 follows from identities 1 and 4
     assert len(rhos) == 1
 
 
@@ -564,24 +565,25 @@ def test_affine_order_1024_holds_8_n2_bytes_and_peaks_under_60_mb():
 
 def test_build_takes_one_generating_set(monkeypatch, xz8a):
     calls = []
-    orig = kernels.generating_set
-    monkeypatch.setattr(kernels, "generating_set", lambda star: calls.append(orig(star)) or calls[-1])
+    orig = kernels.generators_and_orbits
+    monkeypatch.setattr(kernels, "generators_and_orbits",
+                        lambda star: calls.append(orig(star)) or calls[-1])
     q = table_singquandle(8, xz8a.star, xz8a.r1, xz8a.r2)
     assert q == xz8a
     assert len(calls) == 1
-    # the structure keeps the set validation took, not a second one
-    assert q.gens is calls[0]
+    # the structure keeps what validation took, not a second copy
+    assert all(kept is taken for kept, taken in zip((q.gens, q.rhos, q.orbits), calls[0]))
     q.profiles(), q.closure([0]), q.relabel(range(8))
     assert len(calls) == 2  # the relabelled copy is one more build
 
 
 @pytest.mark.parametrize("name", ["X-Z8-a", "trivial(16)", "affine(48,47,2)"])
 def test_each_derivation_runs_once(monkeypatch, name):
-    # a build derives S, the moving rho_s and the Inn-orbits once each;
-    # phi labels only its seed sets, and iso derives nothing
+    # a build derives S, the moving rho_s and the Inn-orbits once, in one
+    # call; phi labels only its seed sets, and iso derives nothing
     q = BUILT[name]() if name in BUILT else corpus.load(name)
     link = corpus.load("1_1l")
-    names = ("generating_set", "moving_rhos", "orbit_labels")
+    names = ("generators_and_orbits", "orbit_labels")
     calls = Counter()
 
     def counting(fn, orig):
@@ -599,9 +601,9 @@ def test_each_derivation_runs_once(monkeypatch, name):
         return tuple(calls[fn] for fn in names)
 
     other = q.relabel(np.roll(np.arange(q.order), 1))
-    assert counted(lambda: table_singquandle(q.order, q.star, q.r1, q.r2)) == (1, 1, 1)
-    assert counted(lambda: phi_ssqp(link, q)) == (0, 0, 1)
-    assert counted(lambda: find_isomorphism(q, other)) == (0, 0, 0)
+    assert counted(lambda: table_singquandle(q.order, q.star, q.r1, q.r2)) == (1, 0)
+    assert counted(lambda: phi_ssqp(link, q)) == (0, 1)
+    assert counted(lambda: find_isomorphism(q, other)) == (0, 0)
 
 
 BUILT = {
@@ -609,6 +611,7 @@ BUILT = {
     "affine(48,47,2)": lambda: affine_singquandle(48, 47, 2),
     "trivial(16)": lambda: affine_singquandle(16, 1, 0),
     "shift(6,1)": lambda: shift_singquandle(6, 1),
+    "union(3,3,5)": lambda: union_singquandle([3, 3, 5], np.random.default_rng(4).permutation(11)),
 }
 
 
@@ -633,6 +636,67 @@ def test_rhos_are_the_moving_automorphisms_and_orbits_their_inn_orbits(name):
             assert np.array_equal(t[rho[:, None], rho], rho[t])
     assert q.orbits.tolist() == element_orbits(q.star.tolist())
     assert not q.rhos.flags.writeable and not q.orbits.flags.writeable
+
+
+@pytest.mark.parametrize("name", ALL_SQ + tuple(BUILT))
+def test_valid_build_checks_star_and_r1_only_and_transposes_nothing(monkeypatch, name):
+    # identity 2 follows from identities 1 and 4, and only the scans of
+    # identities 1 and 2 read transposes: star's for 1, star's and bar's
+    # for 2, which a changed R1 or R2 cell starts
+    q = BUILT[name]() if name in BUILT else corpus.load(name)
+    tables, transposed = [], []
+    orig_preserved, orig_transposed = kernels._preserved, kernels._transposed
+    monkeypatch.setattr(kernels, "_preserved",
+                        lambda r, table: tables.append(table) or orig_preserved(r, table))
+    monkeypatch.setattr(kernels, "_transposed",
+                        lambda table: transposed.append(table) or orig_transposed(table))
+    assert table_singquandle(q.order, q.star, q.r1, q.r2) == q
+    assert len(tables) == 2
+    assert np.array_equal(tables[0], q.star) and np.array_equal(tables[1], q.r1)
+    assert transposed == []
+    if not len(q.rhos):
+        return  # the trivial star proves 1-3 with no scan
+    for which, scanned in ((1, [q.star]), (2, [q.star, q.bar])):
+        r = [q.r1.copy(), q.r2.copy()]
+        r[which - 1][0, 1] = (r[which - 1][0, 1] + 1) % q.order
+        transposed.clear()
+        assert f"singular-{which}" in {v.axiom for v in validate_tables(q.star, *r).violations}
+        assert len(transposed) == len(scanned)
+        assert all(np.array_equal(t, s) for t, s in zip(transposed, scanned))
+
+
+def _reference_targets():
+    """The corpus structures, affine targets relabelled by seeds 0-9, unions
+    of dihedral quandles, shift structures and trivial stars."""
+    targets = {cid: lambda cid=cid: corpus.load(cid) for cid in ALL_SQ}
+    for seed, (n, t, s) in enumerate([(16, 3, 2), (27, 2, 3), (12, 11, 2), (48, 47, 2), (25, 2, 1),
+                                      (9, 2, 4), (64, 3, 2), (20, 3, 1), (8, 3, 2), (32, 5, 7)]):
+        targets[f"affine({n},{t},{s})@{seed}"] = lambda n=n, t=t, s=s, seed=seed: (
+            affine_singquandle(n, t, s).relabel(np.random.default_rng(seed).permutation(n)))
+    for sizes in ([3, 3], [3, 5, 3], [5] * 4 + [3] * 6):
+        n = sum(sizes)
+        targets[f"union{tuple(sizes)}"] = lambda sizes=sizes, n=n: (
+            union_singquandle(sizes, np.random.default_rng(n).permutation(n)))
+    for n, s in ((1, 0), (5, 2), (12, 1)):
+        targets[f"shift({n},{s})"] = lambda n=n, s=s: shift_singquandle(n, s)
+    for n in (1, 2, 17):
+        targets[f"trivial({n})"] = lambda n=n: affine_singquandle(n, 1, 0)
+    return targets
+
+
+REFERENCE_TARGETS = _reference_targets()
+
+
+@pytest.mark.parametrize("name", list(REFERENCE_TARGETS))
+def test_gens_rhos_and_orbits_match_plain_loops(name):
+    # S is the greedy generating set of star_closure, rhos its moving
+    # columns in order, and orbits the least elements of the Inn-orbits
+    q = REFERENCE_TARGETS[name]()
+    star, idx = q.star.tolist(), np.arange(q.order)
+    assert q.gens.tolist() == greedy_generators(star)
+    moving = [q.star[:, s].tolist() for s in q.gens if (q.star[:, s] != idx).any()]
+    assert q.rhos.tolist() == moving and q.rhos.shape == (len(moving), q.order)
+    assert q.orbits.tolist() == element_orbits(star)
 
 
 def test_generators_of_relabelled_copies(xz8a):

@@ -404,6 +404,25 @@ def test_closures_that_reach_every_element_match_oracle(monkeypatch, block):
     assert products[0] == 64_962
 
 
+def test_closures_cut_seed_rows_to_the_largest_seed_set(monkeypatch):
+    # over the trivial star every coloring of 1_1l-pd's four generators
+    # takes at most two values, so its seed rows hold two members and two
+    # padding columns; cut to two, the one round takes 24,960 products, not
+    # the 99,840 of four columns
+    products = []
+    orig = kernels._members
+
+    def counted(tables, rows, n):
+        products.append(3 * rows.shape[0] * rows.shape[1] ** 2)
+        return orig(tables, rows, n)
+    monkeypatch.setattr(kernels, "_members", counted)
+    pres, q = pd_to_presentation(corpus.load("1_1l-pd")), affine_singquandle(64, 1, 0)
+    assert len(pres.generators) == 4
+    phi = phi_ssqp(pres, q)
+    assert phi.counting() == 64 ** 2
+    assert products == [24_960]
+
+
 def test_phi_takes_little_memory_over_a_large_trivial_target():
     # 65,536 colorings and 32,896 seed sets, each its own closure
     pres, q = corpus.load("1_1l"), affine_singquandle(256, 1, 0)
